@@ -138,7 +138,7 @@ class WorkloadAdvisor(object):
                 break  # one recommendation per operator
 
     def _mv_candidates(self, item, out):
-        for name in self._referenced_datasets(item["sql"]):
+        for name in self.platform.db.prepare(item["sql"]).names:
             dataset = self.platform.datasets.get(name.lower())
             if (dataset is None or dataset.kind != "derived"
                     or dataset.base_table):
@@ -183,15 +183,6 @@ class WorkloadAdvisor(object):
             candidate["estimated_saved_per_execution"], saved_per_execution)
         if item["fingerprint"] not in candidate["fingerprints"]:
             candidate["fingerprints"].append(item["fingerprint"])
-
-    def _referenced_datasets(self, sql):
-        from repro.core.sqlshare import referenced_dataset_names
-        from repro.engine import parser as sql_parser
-
-        try:
-            return referenced_dataset_names(sql_parser.parse(sql))
-        except Exception:
-            return []
 
     def _dataset_for_table(self, table_name):
         lowered = table_name.lower()

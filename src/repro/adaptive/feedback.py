@@ -17,6 +17,8 @@ The store is engine-agnostic on purpose: ``repro.engine`` never imports
 this package.  The planner receives a duck-typed :class:`FeedbackView`
 (``Planner.plan(query, feedback=...)``) and calls ``estimate_for(op)``;
 all site-key computation lives here, on both the harvest and lookup side.
+The *query fingerprint* is the statement's one identity
+(``PreparedStatement.fingerprint``), handed in by the caller.
 """
 
 import hashlib
@@ -25,9 +27,6 @@ from collections import OrderedDict
 
 #: Bound on remembered fingerprints (LRU beyond this).
 DEFAULT_CAPACITY = 512
-#: Bound on the raw-SQL -> fingerprint memo (the hot-path shortcut that
-#: keeps feedback lookups from re-normalizing every repeated statement).
-MEMO_CAPACITY = 1024
 
 
 def operator_site_key(operator):
@@ -92,33 +91,7 @@ class CardinalityFeedbackStore(object):
         self.capacity = int(capacity)
         self._lock = threading.Lock()
         self._entries = OrderedDict()  # fingerprint -> {site key: rows}
-        self._fp_memo = OrderedDict()  # raw sql -> fingerprint
         self.harvests = 0
-
-    # -- fingerprints ----------------------------------------------------------
-
-    def fingerprint_for(self, sql):
-        """Query-store fingerprint of ``sql``, memoized on the raw text.
-
-        The memo is what keeps the per-query feedback probe cheap on hot
-        paths: repeated statements cost one dict hit, not a re-parse.
-        """
-        with self._lock:
-            cached = self._fp_memo.get(sql)
-            if cached is not None:
-                self._fp_memo.move_to_end(sql)
-                return cached
-        from repro.obs.querystore import query_fingerprint
-
-        try:
-            fingerprint = query_fingerprint(sql)
-        except Exception:
-            return None
-        with self._lock:
-            self._fp_memo[sql] = fingerprint
-            while len(self._fp_memo) > MEMO_CAPACITY:
-                self._fp_memo.popitem(last=False)
-        return fingerprint
 
     # -- harvesting ------------------------------------------------------------
 
@@ -160,26 +133,10 @@ class CardinalityFeedbackStore(object):
 
     # -- lookup ----------------------------------------------------------------
 
-    def view_for(self, sql):
-        """Per-fingerprint :class:`FeedbackView` for a statement, or None.
-
-        This is the per-execution probe on the query hot path: when the
-        store is empty it costs one lock acquisition; otherwise one memo
-        hit plus one dict get.
-        """
-        with self._lock:
-            if not self._entries:
-                return None
-        fingerprint = self.fingerprint_for(sql)
-        if fingerprint is None:
-            return None
-        with self._lock:
-            sites = self._entries.get(fingerprint)
-        if not sites:
-            return None
-        return FeedbackView(fingerprint, sites)
-
     def view(self, fingerprint):
+        """Per-fingerprint :class:`FeedbackView`, or None when nothing was
+        learned.  This is the per-execution probe on the query hot path:
+        one lock acquisition plus one dict get."""
         with self._lock:
             sites = self._entries.get(fingerprint)
         if not sites:

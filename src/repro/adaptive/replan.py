@@ -18,9 +18,9 @@ job-completion path (:meth:`AdaptiveController.after_job`):
    overriding the synthetic selectivity guesses — and the corrected plan
    is what gets cached and recorded going forward.
 
-Each fingerprint is limited to ``max_replans`` probe cycles, so an
+Each fingerprint is limited to ``MAX_REPLANS`` probe cycles, so an
 inherently volatile query cannot ping-pong forever: the loop converges in
-at most ``2 * max_replans + 1`` executions, well under the experiment's
+at most ``2 * MAX_REPLANS + 1`` executions, well under the experiment's
 bound (see ``repro.analysis.adaptive_flip``).
 
 The controller also owns the **regression first-fire** signal: the first
@@ -38,33 +38,33 @@ from repro.obs.profiler import q_error
 #: Root q-error above which a fingerprint is scheduled for a probe.
 DEFAULT_Q_ERROR_BOUND = 4.0
 #: Probe/re-plan cycles allowed per fingerprint.
-DEFAULT_MAX_REPLANS = 3
+MAX_REPLANS = 3
 
 
 class AdaptiveController(object):
     """Watches job completions; schedules probes and plan invalidations.
 
-    Duck-typed against the runtime: ``cache`` needs ``forget_sql(sql)``,
+    Duck-typed against the runtime: ``cache`` needs ``forget(key)``,
     ``query_store`` needs ``get``/``min_executions``/``regression_factor``,
-    ``job`` needs ``sql``/``result``/``cache_hit``/``profile``/
-    ``profile_data``.  Everything here is advisory — any internal error is
+    ``job`` needs ``prepared`` (``fingerprint`` + ``key``)/``result``/
+    ``cache_hit``/``profile``/``profile_data``.  One fingerprint — the
+    prepared statement's — keys the feedback store, the Query Store and
+    every event.  Everything here is advisory — any internal error is
     swallowed rather than surfaced on the scheduler's completion path.
     """
 
     def __init__(self, feedback, cache=None, query_store=None, metrics=None,
-                 q_error_bound=DEFAULT_Q_ERROR_BOUND,
-                 max_replans=DEFAULT_MAX_REPLANS, events_enabled=True):
+                 q_error_bound=DEFAULT_Q_ERROR_BOUND, events_enabled=True):
         self.feedback = feedback
         self.cache = cache
         self.query_store = query_store
         self.metrics = metrics if metrics is not None else NullRegistry()
         self.q_error_bound = float(q_error_bound)
-        self.max_replans = int(max_replans)
         self.events_enabled = events_enabled
         self._lock = threading.Lock()
-        self._pending = set()  # feedback fingerprints awaiting a probe
-        self._replans = {}  # feedback fingerprint -> completed probe cycles
-        self._regression_seen = set()  # (store fingerprint, regressed plan)
+        self._pending = set()  # fingerprints awaiting a probe
+        self._replans = {}  # fingerprint -> completed probe cycles
+        self._regression_seen = set()  # (fingerprint, regressed plan)
         # Registered up front (get-or-create) so the series exist at 0 in
         # every snapshot — the PlanRegression alert rule needs data from
         # the first sampler tick, not from the first verdict.
@@ -80,56 +80,44 @@ class AdaptiveController(object):
 
     # -- the scheduler-facing surface -----------------------------------------
 
-    def wants_probe(self, sql):
-        """True when this statement's next run should be profiled.
-
-        O(1) on the hot path: an empty pending set answers without even
-        fingerprinting the text.
-        """
+    def wants_probe(self, fingerprint):
+        """True when this fingerprint's next run should be profiled."""
         if not self._pending:
             return False
-        fingerprint = self.feedback.fingerprint_for(sql)
         with self._lock:
             return fingerprint in self._pending
 
-    def after_job(self, job, fingerprint=None):
-        """Fold one terminal job into the control loop.
-
-        ``fingerprint`` is the Query Store's (parser-normalized) value when
-        available — used for verdict lookups and the regression event; the
-        feedback store keys on its own raw-text fingerprint throughout.
-        """
+    def after_job(self, job):
+        """Fold one terminal job into the control loop."""
         try:
-            self._after_job(job, fingerprint)
+            self._after_job(job)
         except Exception:
             pass  # advisory; never take the scheduler down
 
     # -- internals -------------------------------------------------------------
 
-    def _after_job(self, job, store_fingerprint):
+    def _after_job(self, job):
         result = getattr(job, "result", None)
         if result is None or getattr(job, "cache_hit", False):
             return
-        fingerprint = self.feedback.fingerprint_for(job.sql)
-        if fingerprint is None:
-            return
+        prepared = job.prepared
+        fingerprint = prepared.fingerprint
         profile = getattr(job, "profile_data", None)
         if getattr(job, "profile", False) and profile is not None:
-            self._absorb_probe(job, fingerprint, result, profile,
-                               store_fingerprint)
+            self._absorb_probe(prepared, result, profile)
             return
         plan = getattr(result, "plan", None)
         if plan is not None and self._may_replan(fingerprint):
             error = q_error(plan.est_rows, float(len(result.rows)))
             if error > self.q_error_bound:
-                if self.request_probe(fingerprint, sql=job.sql):
-                    self._emit("probe", fingerprint=store_fingerprint,
+                if self.request_probe(fingerprint, prepared.key):
+                    self._emit("probe", fingerprint=fingerprint,
                                trigger="q_error", q_error=round(error, 2))
-        self._check_regression(job, store_fingerprint)
+        self._check_regression(prepared)
 
-    def _absorb_probe(self, job, fingerprint, result, profile,
-                      store_fingerprint):
+    def _absorb_probe(self, prepared, result, profile):
         """Harvest a profiled run, then invalidate so the next run re-plans."""
+        fingerprint = prepared.fingerprint
         sites = self.feedback.harvest(fingerprint, result.plan, profile)
         with self._lock:
             self._pending.discard(fingerprint)
@@ -142,37 +130,36 @@ class AdaptiveController(object):
             return
         self._replans_total.inc()
         if self.cache is not None:
-            self.cache.forget_sql(job.sql)
-        self._emit("replan", fingerprint=store_fingerprint, sites=sites)
+            self.cache.forget(prepared.key)
+        self._emit("replan", fingerprint=fingerprint, sites=sites)
 
-    def request_probe(self, fingerprint, sql=None):
-        """Schedule a profiled probe for a feedback fingerprint.
+    def request_probe(self, fingerprint, key):
+        """Schedule a profiled probe for a fingerprint.
 
-        Also forgets the fingerprint's cached result+plan entry — the
-        ISSUE's "no-parse/plan memo" — so a cache hit cannot outlive the
+        Also forgets the cached result+plan entry under ``key`` (the
+        statement's normalized text), so a cache hit cannot outlive the
         evidence that its plan is bad.  Returns False when a probe is
         already pending.
         """
-        if fingerprint is None:
-            return False
         with self._lock:
             if fingerprint in self._pending:
                 return False
             self._pending.add(fingerprint)
         self._probes_total.inc()
-        if self.cache is not None and sql is not None:
-            self.cache.forget_sql(sql)
+        if self.cache is not None:
+            self.cache.forget(key)
         return True
 
     def _may_replan(self, fingerprint):
         with self._lock:
-            return self._replans.get(fingerprint, 0) < self.max_replans
+            return self._replans.get(fingerprint, 0) < MAX_REPLANS
 
-    def _check_regression(self, job, fingerprint):
+    def _check_regression(self, prepared):
         """First-fire detection for Query Store regression verdicts."""
         store = self.query_store
-        if store is None or fingerprint is None:
+        if store is None:
             return
+        fingerprint = prepared.fingerprint
         entry = store.get(fingerprint)
         # A verdict needs an established plan change, so the (cheap)
         # plan_changes gate keeps never-changed fingerprints off the
@@ -197,9 +184,8 @@ class AdaptiveController(object):
                    baseline_plan=verdict["baseline_plan"],
                    regressed_mean_seconds=verdict["regressed_mean_seconds"],
                    baseline_mean_seconds=verdict["baseline_mean_seconds"])
-        feedback_fp = self.feedback.fingerprint_for(job.sql)
-        if self._may_replan(feedback_fp):
-            self.request_probe(feedback_fp, sql=job.sql)
+        if self._may_replan(fingerprint):
+            self.request_probe(fingerprint, prepared.key)
 
     def _emit(self, event, **fields):
         if not self.events_enabled:
@@ -218,5 +204,5 @@ class AdaptiveController(object):
                 "replans": sum(self._replans.values()),
                 "regressions_seen": len(self._regression_seen),
                 "q_error_bound": self.q_error_bound,
-                "max_replans": self.max_replans,
+                "max_replans": MAX_REPLANS,
             }

@@ -27,9 +27,7 @@ import time
 from collections import OrderedDict
 
 from repro.cluster.coordinator import ClusterError
-from repro.engine import parser as sql_parser
-from repro.engine.ast_nodes import CommonTableExpression, TableRef
-from repro.errors import ReproError
+from repro.engine.prepared import StatementMemo
 from repro.obs import events
 from repro.obs.tracing import Trace, maybe_span, new_trace_id
 
@@ -57,25 +55,6 @@ _DATASET_PATH = re.compile(
 _QUERY_TRACE_PATH = re.compile(r"^/api/v1/query/(?P<query_id>[^/]+)/trace$")
 
 
-def referenced_names(sql):
-    """Dataset names a statement references, minus its own CTE names.
-
-    Parse errors return an empty set: the home shard will produce the
-    real diagnostic, which must not be masked by routing.
-    """
-    try:
-        ast = sql_parser.parse(sql)
-    except ReproError:
-        return set()
-    tables, ctes = set(), set()
-    for node in ast.walk():
-        if isinstance(node, TableRef):
-            tables.add(node.name.lower())
-        elif isinstance(node, CommonTableExpression):
-            ctes.add(node.name.lower())
-    return tables - ctes
-
-
 class ClusterApp(object):
     """WSGI front end over a :class:`ClusterCoordinator`."""
 
@@ -91,6 +70,10 @@ class ClusterApp(object):
         self.tracing = tracing
         self._traces = OrderedDict()  # job_id -> {trace, home, user, ...}
         self._traces_lock = threading.Lock()
+        #: The coordinator's front door for SQL text: routing reads the
+        #: referenced names, the route event the fingerprint — the same
+        #: facts (and the same function) the shards' permission checks use.
+        self.statements = StatementMemo()
 
     # -- WSGI entry point ------------------------------------------------------
 
@@ -227,8 +210,11 @@ class ClusterApp(object):
         trace = Trace(new_trace_id()) if self.tracing else None
         started = time.monotonic()
         cross = False
+        # Unparseable text references nothing: the home shard produces the
+        # real diagnostic, which must not be masked by routing.
+        prepared = self.statements.prepare(sql)
         with maybe_span(trace, "route", user=user) as annotations:
-            for name in sorted(referenced_names(sql)):
+            for name in sorted({name.lower() for name in prepared.names}):
                 entry = self.coordinator.resolve(name, trace=trace)
                 if entry is None or entry["shard"] == home:
                     continue
@@ -262,7 +248,7 @@ class ClusterApp(object):
                         self._traces.popitem(last=False)
                 payload["trace_id"] = trace.trace_id
             events.emit("route", trace_id=trace.trace_id, user=user,
-                        fingerprint=events.fingerprint(sql), job_id=job_id,
+                        fingerprint=prepared.fingerprint, job_id=job_id,
                         home=home, cross_shard=cross or None, status=status)
         return status, payload
 

@@ -43,9 +43,7 @@ import time
 
 from repro.cluster import protocol
 from repro.cluster.router import shard_for_user
-from repro.core.dataset import Dataset
-from repro.core.sqlshare import SQLShare, _safe, quote_ident
-from repro.engine import parser as sql_parser
+from repro.core.sqlshare import SQLShare, quote_ident
 from repro.engine.catalog import Column
 from repro.engine.types import SQLType
 from repro.errors import DatasetError, ReproError
@@ -92,26 +90,15 @@ def install_replica(platform, name, owner, columns, rows,
             if existing.kind != "replica":
                 raise DatasetError(
                     "dataset %r exists locally and is not a replica" % name)
-            platform._invalidate_cache(name, existing)
-            platform.db.catalog.drop_view(name, if_exists=True)
-            if existing.base_table:
-                platform.db.catalog.drop_table(existing.base_table,
-                                               if_exists=True)
-            platform.permissions.forget(name)
-            del platform.datasets[name.lower()]
-        platform._table_seq += 1
-        base_table = "t_%05d_%s" % (platform._table_seq, _safe(name))
+            platform._drop_dataset(existing)
+        base_table = platform._mint_base_table(name)
         column_objects = [Column(col_name, SQLType(type_name))
                           for col_name, type_name in columns]
         platform.db.create_table_from_rows(
             base_table, column_objects, [tuple(row) for row in rows])
-        wrapper_sql = "SELECT * FROM %s" % base_table
-        platform.db.create_view(name, sql_parser.parse(wrapper_sql),
-                                sql=wrapper_sql)
-        dataset = Dataset(name, owner, wrapper_sql, "replica",
-                          base_table=base_table,
-                          description="cross-shard replica")
-        platform.datasets[name.lower()] = dataset
+        dataset = platform._wrap_base_table(
+            name, owner, "replica", base_table,
+            description="cross-shard replica")
         platform._invalidate_cache(name, dataset)
         # Mirror the source's sharing so the local permission check gives
         # exactly the answer the owning shard already gave.

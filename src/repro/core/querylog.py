@@ -197,10 +197,20 @@ class QueryLog(object):
 
     def restore_entry(self, record):
         """Re-admit one WAL-logged entry during recovery (no listener —
-        the record is already durable)."""
+        the record is already durable).
+
+        The entry is placed by ``query_id``, not appended: :meth:`record`
+        calls its listener outside the log lock, so two concurrent queries
+        can reach the WAL in the opposite order to their ids, while the
+        live list is always in id order.  Placing by id makes the
+        recovered order independent of WAL arrival order.
+        """
         entry = QueryLogEntry.from_record(record)
         with self._lock:
-            self.entries.append(entry)
+            index = len(self.entries)
+            while index and self.entries[index - 1].query_id > entry.query_id:
+                index -= 1
+            self.entries.insert(index, entry)
             self._next_id = max(self._next_id, entry.query_id + 1)
         return entry
 
@@ -209,8 +219,9 @@ class QueryLog(object):
 
         Entry *order* is left exactly as restored — the snapshot preserves
         the live list order (which need not be id order: workload drivers
-        re-sort by timestamp) and replayed WAL tail records append in
-        commit order, which is the order a live log would have given them.
+        re-sort by timestamp) and replayed WAL tail records, whose ids all
+        follow the snapshot's, land in id order (see :meth:`restore_entry`),
+        which is the order a live log would have given them.
         """
         with self._lock:
             if self.entries:

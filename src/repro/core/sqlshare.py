@@ -17,7 +17,6 @@ from repro.core.permissions import PermissionManager
 from repro.core.querylog import QueryLog
 from repro.core.quota import QuotaManager
 from repro.core.views import ViewGraph
-from repro.engine import ast_nodes as ast
 from repro.engine import parser as sql_parser
 from repro.engine.catalog import Column
 from repro.engine.database import Database
@@ -33,20 +32,6 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_ ]*$")
 def quote_ident(name):
     """Bracket-quote a dataset name for use in SQL."""
     return "[%s]" % name
-
-
-def referenced_dataset_names(query_ast):
-    """Names referenced directly by a query AST (its own FROM clauses,
-    including subqueries — but not names inside referenced views)."""
-    names = []
-    seen = set()
-    for node in query_ast.walk():
-        if isinstance(node, ast.TableRef):
-            lowered = node.name.lower()
-            if lowered not in seen:
-                seen.add(lowered)
-                names.append(node.name)
-    return names
 
 
 class SQLShare(object):
@@ -80,10 +65,6 @@ class SQLShare(object):
         #: Serializes dataset mutations (upload/append/delete/...) and the
         #: logical clock against the runtime's concurrent query workers.
         self._state_lock = threading.RLock()
-        #: raw sql -> referenced dataset-name list (pure function of the
-        #: text), memoized so repeat submissions skip the access-check
-        #: parse; the per-user permission checks themselves always re-run.
-        self._referenced_names = {}
         #: Ingest reports by dataset name (feeds the §5.1 analysis).
         self.ingest_reports = {}
         #: Parameterized query macros (§5.2 footnote 4).
@@ -107,10 +88,6 @@ class SQLShare(object):
         storage = self.storage
         if storage is not None:
             storage.log_operation(op, data)
-
-    def _next_table_id(self):
-        self._table_seq += 1
-        return self._table_seq
 
     # -- time -----------------------------------------------------------------
 
@@ -201,7 +178,7 @@ class SQLShare(object):
                 continue
             base_table = dep.base_table
             try:
-                self.db.create_view(dep.name, self._parse_query(dep.sql),
+                self.db.create_view(dep.name, sql_parser.parse(dep.sql),
                                     sql=dep.sql, replace=True)
             except Exception:
                 continue  # leave the snapshot rather than break the mutation
@@ -224,21 +201,16 @@ class SQLShare(object):
             staging_id = self.staging.stage(name, text, owner)
             self.staging.record_attempt(staging_id)
             self.quotas.charge(owner, len(text))
-            base_table = "t_%05d_%s" % (self._next_table_id(), _safe(name))
+            base_table = self._mint_base_table(name)
             try:
                 report = self.ingestor.ingest_text(base_table, text)
             except Exception:
                 self.quotas.refund(owner, len(text))
                 raise  # file remains staged for retry
             self.staging.discard(staging_id)
-            wrapper_sql = "SELECT * FROM %s" % base_table
-            self.db.create_view(name, sql_parser.parse(wrapper_sql), sql=wrapper_sql)
-            dataset = Dataset(
-                name, owner, wrapper_sql, "wrapper",
-                base_table=base_table, created_at=moment,
-                description=description, tags=tags,
-            )
-            self.datasets[name.lower()] = dataset
+            dataset = self._wrap_base_table(
+                name, owner, "wrapper", base_table, created_at=moment,
+                description=description, tags=tags)
             self.ingest_reports[name.lower()] = report
             self._invalidate_cache(name, dataset)
             self._durable("upload", owner=owner, name=name, text=text,
@@ -266,9 +238,9 @@ class SQLShare(object):
         with self._state_lock:
             self._validate_name(name)
             moment = self._now(timestamp)
-            query = self._parse_query(sql)
-            referenced = self._resolve_references(owner, query)
-            self.db.create_view(name, query, sql=sql)
+            prepared = self._prepare_query(sql)
+            referenced = self._check_names_access(owner, prepared.names)
+            self.db.create_view(name, prepared.ast(), sql=sql)
             dataset = Dataset(
                 name, owner, sql, "derived",
                 derived_from=referenced, created_at=moment,
@@ -294,7 +266,7 @@ class SQLShare(object):
             if dataset.owner != owner:
                 raise PermissionError_("only the owner may append to %r" % name)
             moment = self._now(timestamp)
-            base_table = "t_%05d_%s" % (self._next_table_id(), _safe(name + "_batch"))
+            base_table = self._mint_base_table(name + "_batch")
             self.quotas.charge(owner, len(text))
             try:
                 self.ingestor.ingest_text(base_table, text)
@@ -308,7 +280,7 @@ class SQLShare(object):
                 self.quotas.refund(owner, len(text))
                 raise
             new_sql = "(%s) UNION ALL (SELECT * FROM %s)" % (dataset.sql, base_table)
-            self.db.create_view(name, self._parse_query(new_sql), sql=new_sql, replace=True)
+            self.db.create_view(name, sql_parser.parse(new_sql), sql=new_sql, replace=True)
             dataset.sql = new_sql
             self._invalidate_cache(name, dataset)
             self._durable("append", owner=owner, name=name, text=text,
@@ -342,22 +314,9 @@ class SQLShare(object):
             self._validate_name(name)
             self.permissions.check_access(owner, source_name)
             moment = self._now(timestamp)
-            # The snapshot read must be atomic with the source's current
-            # definition: dropping the lock between this SELECT and the
-            # CREATE below could snapshot one version of the view and
-            # record another.  Materialize is rare and explicitly heavy.
-            result = self.db.execute("SELECT * FROM %s" % quote_ident(source_name))  # selfcheck: ok[SELFCHECK003]
-            schema = self.db.query_schema("SELECT * FROM %s" % quote_ident(source_name))
-            base_table = "t_%05d_%s" % (self._next_table_id(), _safe(name))
-            columns = [Column(col_name, col_type) for col_name, col_type in schema]
-            self.db.create_table_from_rows(base_table, columns, result.rows)
-            wrapper_sql = "SELECT * FROM %s" % base_table
-            self.db.create_view(name, sql_parser.parse(wrapper_sql), sql=wrapper_sql)
-            dataset = Dataset(
-                name, owner, wrapper_sql, "snapshot",
-                base_table=base_table, created_at=moment,
-            )
-            self.datasets[name.lower()] = dataset
+            base_table = self._snapshot(source_name, name)  # selfcheck: ok[SELFCHECK003]
+            dataset = self._wrap_base_table(
+                name, owner, "snapshot", base_table, created_at=moment)
             self._invalidate_cache(name, dataset)
             self._durable("materialize", owner=owner, name=name,
                           source=source_name, timestamp=moment)
@@ -388,16 +347,9 @@ class SQLShare(object):
             if dataset.base_table:
                 raise DatasetError("%r is already materialized" % name)
             moment = self._now(timestamp)
-            # Atomic with the current definition, like materialize().
-            result = self.db.execute("SELECT * FROM %s" % quote_ident(name))  # selfcheck: ok[SELFCHECK003]
-            schema = self.db.query_schema("SELECT * FROM %s" % quote_ident(name))
-            base_table = "t_%05d_%s" % (self._next_table_id(), _safe(name))
-            columns = [Column(col_name, col_type) for col_name, col_type in schema]
-            self.db.create_table_from_rows(base_table, columns, result.rows)
-            wrapper_sql = "SELECT * FROM %s" % base_table
-            self.db.create_view(name, sql_parser.parse(wrapper_sql),
-                                sql=wrapper_sql, replace=True)
-            dataset.base_table = base_table
+            base_table = self._snapshot(name, name)  # selfcheck: ok[SELFCHECK003]
+            self._wrap_base_table(name, owner, "derived", base_table,
+                                  existing=dataset)
             self._invalidate_cache(name, dataset, demote=False)
             self._durable("materialize_inplace", owner=owner, name=name,
                           timestamp=moment)
@@ -453,25 +405,16 @@ class SQLShare(object):
                 if existing.owner != owner or existing.kind != "scratch":
                     raise DatasetError(
                         "a dataset named %r already exists" % name)
-                self._invalidate_cache(name, existing)
-                self.db.catalog.drop_view(name, if_exists=True)
-                if existing.base_table:
-                    self.db.catalog.drop_table(existing.base_table, if_exists=True)
-                self.permissions.forget(name)
-                del self.datasets[name.lower()]
+                self._drop_dataset(existing)
             moment = self._now(timestamp)
-            base_table = "t_%05d_%s" % (self._next_table_id(), _safe(name))
-            column_objects = [Column(col_name, col_type)
-                              for col_name, col_type in columns]
-            self.db.create_table_from_rows(base_table, column_objects, rows)
-            wrapper_sql = "SELECT * FROM %s" % base_table
-            self.db.create_view(name, sql_parser.parse(wrapper_sql), sql=wrapper_sql)
-            dataset = Dataset(
-                name, owner, wrapper_sql, "scratch",
-                base_table=base_table, created_at=moment,
-                description="batch result",
-            )
-            self.datasets[name.lower()] = dataset
+            base_table = self._mint_base_table(name)
+            self.db.create_table_from_rows(
+                base_table,
+                [Column(col_name, col_type) for col_name, col_type in columns],
+                rows)
+            dataset = self._wrap_base_table(
+                name, owner, "scratch", base_table, created_at=moment,
+                description="batch result")
             self._invalidate_cache(name, dataset)
             self._durable(
                 "result_table", owner=owner, name=name,
@@ -492,18 +435,65 @@ class SQLShare(object):
             dataset = self.dataset(name)
             if dataset.owner != owner:
                 raise PermissionError_("only the owner may delete %r" % name)
-            self._invalidate_cache(name, dataset)
-            self.db.catalog.drop_view(name, if_exists=True)
-            if dataset.base_table:
-                self.db.catalog.drop_table(dataset.base_table, if_exists=True)
-            self.permissions.forget(name)
-            del self.datasets[name.lower()]
+            self._drop_dataset(dataset)
             self._durable("delete_dataset", owner=owner, name=name)
+
+    def _drop_dataset(self, dataset):
+        """Remove a dataset, its view, base table, grants and cached results
+        (call with ``_state_lock`` held)."""
+        name = dataset.name
+        self._invalidate_cache(name, dataset)
+        self.db.catalog.drop_view(name, if_exists=True)
+        if dataset.base_table:
+            self.db.catalog.drop_table(dataset.base_table, if_exists=True)
+        self.permissions.forget(name)
+        del self.datasets[name.lower()]
+
+    def _mint_base_table(self, name):
+        self._table_seq += 1
+        return "t_%05d_%s" % (self._table_seq, _safe(name))
+
+    def _wrap_base_table(self, name, owner, kind, base_table, existing=None,
+                         **fields):
+        """Point the trivial wrapper view ``SELECT * FROM <base>`` at a
+        filled base table, so that "everything is a dataset" and novice
+        users always have an example query to edit (§3.2).  Registers and
+        returns a new ``kind`` Dataset — or, with ``existing``
+        (materialize-in-place), repoints that record's view and keeps its
+        identity.  Call with ``_state_lock`` held."""
+        wrapper_sql = "SELECT * FROM %s" % base_table
+        self.db.create_view(name, sql_parser.parse(wrapper_sql),
+                            sql=wrapper_sql, replace=existing is not None)
+        if existing is not None:
+            existing.base_table = base_table
+            return existing
+        dataset = Dataset(name, owner, wrapper_sql, kind,
+                          base_table=base_table, **fields)
+        self.datasets[name.lower()] = dataset
+        return dataset
+
+    def _snapshot(self, source_name, name):
+        """Copy a dataset's current rows into a fresh base table minted for
+        ``name``; returns the table's name.
+
+        Runs under the caller's ``_state_lock`` on purpose: the snapshot
+        read must be atomic with the source's current definition —
+        dropping the lock between this SELECT and the caller's CREATE could
+        snapshot one version of the view and record another.
+        Materializing is rare and explicitly heavy."""
+        source_sql = "SELECT * FROM %s" % quote_ident(source_name)
+        result = self.db.execute(source_sql)
+        columns = [Column(col_name, col_type)
+                   for col_name, col_type in self.db.query_schema(source_sql)]
+        base_table = self._mint_base_table(name)
+        self.db.create_table_from_rows(base_table, columns, result.rows)
+        return base_table
 
     # -- querying ------------------------------------------------------------------
 
     def run_query(self, user, sql, timestamp=None, source="webui", log_errors=False,
-                  cancellation=None, log_extra=None, trace=None, profile=False):
+                  cancellation=None, log_extra=None, trace=None, profile=False,
+                  prepared=None):
         """Execute a read-only query as ``user``, enforcing permissions.
 
         Every successful execution is appended to the query log with its
@@ -517,7 +507,10 @@ class SQLShare(object):
         queue time) into the query-log record.  ``trace`` threads a
         :class:`repro.obs.tracing.Trace` into the engine's phase spans;
         ``profile=True`` records per-operator actuals
-        (``result.profile``), bypassing the cache.
+        (``result.profile``), bypassing the cache.  ``prepared`` is the
+        statement's :class:`~repro.engine.prepared.PreparedStatement` when
+        the caller (the scheduler) already holds one; otherwise the text
+        is prepared here — either way it is parsed at most once.
 
         Every failure — wherever it surfaces — is counted once in the
         ``repro_queries_failed_total`` metric under its taxonomy class.
@@ -525,17 +518,11 @@ class SQLShare(object):
         moment = self._now(timestamp)
         started = time.perf_counter()
         try:
-            names = self._referenced_names.get(sql)
-            if names is None:
-                query = self._parse_query(sql)
-                names = referenced_dataset_names(query)
-                if len(self._referenced_names) > 4096:
-                    self._referenced_names.clear()
-                self._referenced_names[sql] = names
-            referenced = self._check_names_access(user, names)
+            prepared = self._prepare_query(sql, prepared, trace)
+            referenced = self._check_names_access(user, prepared.names)
             result = self.db.execute(
                 sql, cancellation=cancellation, cache=self.result_cache,
-                trace=trace, profile=profile)
+                trace=trace, profile=profile, prepared=prepared)
         except Exception as exc:
             error_class = classify_error(exc)
             self.metrics.counter(
@@ -565,9 +552,9 @@ class SQLShare(object):
 
     def explain_query(self, user, sql):
         """Plan a query (permission-checked) without executing it."""
-        query = self._parse_query(sql)
-        self._check_query_access(user, query)
-        return self.db.explain(sql)
+        prepared = self._prepare_query(sql)
+        self._check_names_access(user, prepared.names)
+        return self.db.explain(sql, prepared=prepared)
 
     def preview(self, user, name):
         """The dataset's cached 100-row preview (no query execution, §3.3)."""
@@ -582,16 +569,18 @@ class SQLShare(object):
             source="rest",
         )
 
-    def _parse_query(self, sql):
-        statement = sql_parser.parse(sql)
-        if not isinstance(statement, (ast.Select, ast.SetOperation, ast.WithQuery)):
+    def _prepare_query(self, sql, prepared=None, trace=None):
+        """The prepared statement for user-supplied SQL, which must parse
+        and must be a query."""
+        if prepared is None:
+            prepared = self.db.prepare(sql, trace=trace)
+        if prepared.error is not None:
+            raise prepared.error
+        if not prepared.is_query:
             raise PermissionError_(
                 "users may not run DDL statements; save a query as a dataset instead"
             )
-        return statement
-
-    def _check_query_access(self, user, query):
-        return self._check_names_access(user, referenced_dataset_names(query))
+        return prepared
 
     def _check_names_access(self, user, names):
         referenced = []
@@ -604,18 +593,6 @@ class SQLShare(object):
                     "%r is an internal table; query its dataset instead" % name
                 )
             # Unknown names fall through to the engine's CatalogError.
-        return referenced
-
-    def _resolve_references(self, owner, query):
-        referenced = []
-        for name in referenced_dataset_names(query):
-            if self.has_dataset(name):
-                self.permissions.check_access(owner, name)
-                referenced.append(self.dataset(name).name)
-            elif self.db.catalog.has_table(name):
-                raise PermissionError_(
-                    "%r is an internal table; reference its dataset instead" % name
-                )
         return referenced
 
     def _refresh_preview(self, dataset):

@@ -5,25 +5,24 @@ SQL, explains queries (SHOWPLAN-style XML), runs DDL (the platform — never
 users — issues CREATE/DROP/ALTER), and exposes the catalog.
 """
 
+import copy
 import logging
 import time
 
 from repro.check.plancheck import verify_plan
 from repro.engine import ast_nodes as ast
-from repro.engine import parser
 from repro.engine import semantic
 from repro.engine.catalog import Catalog, Column
 from repro.engine.executor import execute_plan
 from repro.engine.expressions import OutputColumn
 from repro.engine.plan_xml import plan_to_xml
 from repro.engine.planner import Planner
+from repro.engine.prepared import StatementMemo
 from repro.engine.types import SQLType, cast_value, format_value, resolve_type_name
 from repro.errors import (
     CatalogError,
     Diagnostic,
     ExecutionError,
-    LexError,
-    ParseError,
     PlanCheckError,
     SQLError,
 )
@@ -118,10 +117,12 @@ class Database(object):
         self._plan_violation_counter = None
         #: Optional cardinality-feedback store
         #: (:class:`repro.adaptive.feedback.CardinalityFeedbackStore`,
-        #: duck-typed — the engine only calls ``view_for(sql)``).  When set,
-        #: planning consults observed per-operator cardinalities for
+        #: duck-typed — the engine only calls ``view(fingerprint)``).  When
+        #: set, planning consults observed per-operator cardinalities for
         #: fingerprints that have been probed.
         self.feedback = None
+        #: The one text-keyed statement memo (see :mod:`repro.engine.prepared`).
+        self.statements = StatementMemo()
 
     def _phase_histogram(self, phase):
         """The ``repro_engine_<phase>_seconds`` histogram (cached)."""
@@ -138,8 +139,39 @@ class Database(object):
 
     # -- querying ---------------------------------------------------------------
 
+    def prepare(self, sql, trace=None):
+        """The front door for SQL text: its :class:`PreparedStatement`.
+
+        Parses at most once per text (repeats are served from
+        :attr:`statements`, facts only); never raises on bad SQL — the
+        parse error rides on ``.error``.  Every text-taking method below
+        accepts the result as ``prepared=`` so a caller that already holds
+        one (the scheduler's job) pays for nothing twice.
+        """
+        started = time.monotonic()
+        prepared = self.statements.prepare(sql)
+        if prepared.parsed_now:
+            self._phase("parse", started, trace)
+        return prepared
+
+    def diagnostics(self, prepared):
+        """Advisory lint findings (list of dicts) for a prepared statement.
+
+        Computed once per text and kept with the memoized facts: the
+        findings depend on the catalog, but they are advisory, so a repeat
+        submission reuses them rather than re-analyzing.
+        """
+        if prepared.diagnostics is None:
+            try:
+                found = [diagnostic.to_dict() for diagnostic
+                         in self.check(prepared.sql, prepared=prepared)]
+            except Exception:
+                found = []  # advisory; never block a submission
+            self.statements.annotate(prepared, found)
+        return prepared.diagnostics
+
     def execute(self, sql, cancellation=None, cache=None, trace=None,
-                profile=False):
+                profile=False, prepared=None):
         """Parse, analyze, plan and run one statement; returns a QueryResult.
 
         The semantic analyzer runs between parsing and planning, so name and
@@ -152,10 +184,11 @@ class Database(object):
         :class:`repro.runtime.cache.ResultCache`: queries are looked up by
         normalized SQL, valid only while the catalog version of every
         table/view the original plan reached is unchanged, and stored on
-        success.  A hit skips analysis, planning and execution — the entry
-        carries the original plan and PlanInfo, which a version match
-        guarantees are still accurate — so the caller's permission checks
-        and log metadata behave identically at a fraction of the cost.
+        success.  A hit skips parsing (when the text was seen before),
+        analysis, planning and execution — the entry carries the original
+        plan and PlanInfo, which a version match guarantees are still
+        accurate — so the caller's permission checks and log metadata
+        behave identically at a fraction of the cost.
 
         ``trace`` is an optional :class:`repro.obs.tracing.Trace`; the
         engine appends one span per phase (cache probe, parse, analyze,
@@ -164,183 +197,169 @@ class Database(object):
         (``QueryResult.profile``); profiled executions bypass the result
         cache so the actuals reflect a real execution.
         """
-        metrics = self.metrics
-        key = None
-        probed = False
-        if cache is not None and not profile:
-            # Fast path: raw text seen before -> normalized key known ->
-            # probe without parsing.  Only select-like statements are ever
-            # memoized, so a DDL string can't slip through here.
-            key = cache.memoized_key(sql)
-            if key is not None:
-                probed = True
-                entry = self._probe(cache, key, trace)
-                if entry is not None:
-                    return QueryResult(
-                        entry.columns, list(entry.rows),
-                        plan=entry.plan, info=entry.info, elapsed=0.0,
-                        cache_hit=True,
-                    )
-        started = time.monotonic()
-        statement = parser.parse(sql)
-        ended = time.monotonic()
-        if metrics is not None:
-            self._phase_histogram("parse").observe(ended - started)
-        if trace is not None:
-            trace.add_span("parse", started, ended)
-        if isinstance(statement, (ast.Select, ast.SetOperation, ast.WithQuery)):
-            if cache is not None and not profile:
-                if key is None:
-                    key = cache.key_for(sql, statement)
-                if not probed:
-                    entry = self._probe(cache, key, trace)
-                    if entry is not None:
-                        return QueryResult(
-                            entry.columns, list(entry.rows),
-                            plan=entry.plan, info=entry.info, elapsed=0.0,
-                            cache_hit=True,
-                        )
+        if prepared is None:
+            prepared = self.prepare(sql, trace=trace)
+        if prepared.error is not None:
+            raise prepared.error
+        if profile or not prepared.is_query:
+            cache = None
+        if cache is not None:
+            entry = self._probe(cache, prepared.key, trace)
+            if entry is not None:
+                return QueryResult(
+                    entry.columns, list(entry.rows),
+                    plan=entry.plan, info=entry.info, elapsed=0.0,
+                    cache_hit=True,
+                )
+        statement = prepared.statement
+        if statement is None:
+            # Facts came from the memo, which never holds an AST.
             started = time.monotonic()
-            analysis = semantic.analyze(statement, self.catalog, source=sql)
-            ended = time.monotonic()
-            if metrics is not None:
-                self._phase_histogram("analyze").observe(ended - started)
-            if trace is not None:
-                trace.add_span("analyze", started, ended,
-                               diagnostics=len(analysis.diagnostics))
-            if not analysis.ok:
-                raise semantic.error_from_diagnostics(analysis.diagnostics, sql)
-            started = time.monotonic()
-            feedback = self.feedback
-            planned = self.planner.plan(
-                statement,
-                feedback=(feedback.view_for(sql)
-                          if feedback is not None else None),
-            )
-            ended = time.monotonic()
-            if metrics is not None:
-                self._phase_histogram("plan").observe(ended - started)
-            if trace is not None:
-                trace.add_span("plan", started, ended)
-            violations = self._verify_planned(planned, sql, metrics, trace)
-            info = planned.info
-            columns = [column.name for column in planned.schema]
-            # Stamp the vector BEFORE executing: if a concurrent writer
-            # bumps a referenced object mid-execution, the stored entry
-            # carries the pre-write versions and fails validation later,
-            # instead of blessing possibly-stale rows with new versions.
-            vector = None
-            if cache is not None and not profile:
-                vector = self.catalog.version_vector(
-                    set(info.tables) | set(info.views))
-            profiler = None
-            if profile:
-                from repro.obs.profiler import QueryProfiler
+            statement = prepared.ast()
+            self._phase("parse", started, trace)
+        if not prepared.is_query:
+            self._analyze(statement, sql, trace)
+            return self._execute_statement(statement, sql)
+        planned, violations = self._plan(prepared, statement, trace)
+        self._enforce_plan_check(violations, sql)
+        info = planned.info
+        columns = [column.name for column in planned.schema]
+        # Stamp the vector BEFORE executing: if a concurrent writer
+        # bumps a referenced object mid-execution, the stored entry
+        # carries the pre-write versions and fails validation later,
+        # instead of blessing possibly-stale rows with new versions.
+        vector = None
+        if cache is not None:
+            vector = self.catalog.version_vector(
+                set(info.tables) | set(info.views))
+        profiler = None
+        if profile:
+            from repro.obs.profiler import QueryProfiler
 
-                profiler = QueryProfiler(planned.root)
-                profiler.attach()
-            started = time.monotonic()
-            try:
-                rows = execute_plan(planned.root, cancellation=cancellation)
-            finally:
-                ended = time.monotonic()
-                if profiler is not None:
-                    profiler.detach()
-            elapsed = ended - started
-            if metrics is not None:
-                self._phase_histogram("execute").observe(elapsed)
-            if trace is not None:
-                trace.add_span("execute", started, ended, rows=len(rows))
-            if cache is not None and not profile:
-                cache.store(key, vector, columns, rows,
-                            plan=planned.root, info=info)
-            return QueryResult(
-                columns,
-                rows,
-                plan=planned.root,
-                info=info,
-                elapsed=elapsed,
-                profile=(
-                    profiler.finish(elapsed=elapsed, plan_check=violations)
-                    if profiler is not None else None
-                ),
-            )
+            profiler = QueryProfiler(planned.root)
+            profiler.attach()
+        started = time.monotonic()
+        try:
+            rows = execute_plan(planned.root, cancellation=cancellation)
+        finally:
+            if profiler is not None:
+                profiler.detach()
+        elapsed = self._phase("execute", started, trace, rows=len(rows))
+        if cache is not None:
+            cache.store(prepared.key, vector, columns, rows,
+                        plan=planned.root, info=info)
+        return QueryResult(
+            columns,
+            rows,
+            plan=planned.root,
+            info=info,
+            elapsed=elapsed,
+            profile=(
+                profiler.finish(elapsed=elapsed, plan_check=violations)
+                if profiler is not None else None
+            ),
+        )
+
+    def _phase(self, phase, started, trace, **annotations):
+        """Close one engine phase: histogram + trace span; returns seconds."""
+        ended = time.monotonic()
+        if self.metrics is not None:
+            self._phase_histogram(phase).observe(ended - started)
+        if trace is not None:
+            trace.add_span(phase, started, ended, **annotations)
+        return ended - started
+
+    def _analyze(self, statement, sql, trace=None):
+        """Semantic analysis; raises with every diagnostic attached."""
         started = time.monotonic()
         analysis = semantic.analyze(statement, self.catalog, source=sql)
-        ended = time.monotonic()
-        if metrics is not None:
-            self._phase_histogram("analyze").observe(ended - started)
-        if trace is not None:
-            trace.add_span("analyze", started, ended,
-                           diagnostics=len(analysis.diagnostics))
+        self._phase("analyze", started, trace,
+                    diagnostics=len(analysis.diagnostics))
         if not analysis.ok:
             raise semantic.error_from_diagnostics(analysis.diagnostics, sql)
-        return self._execute_statement(statement, sql)
 
-    def _verify_planned(self, planned, sql, metrics, trace):
-        """Run the static plan verifier per :attr:`plan_check_mode`.
+    def _plan(self, prepared, statement, trace=None):
+        """The shared analyze -> plan -> verify pipeline for one query.
 
-        Returns the violation list (None when the verifier is off).
+        Returns ``(planned, violations)``; ``violations`` is the plan
+        verifier's finding list (None when :attr:`plan_check_mode` is
+        ``"off"``).  What a non-empty list means is the caller's call:
+        :meth:`execute` enforces the posture, :meth:`explain` and
+        :meth:`check_plan` report.
+        """
+        self._analyze(statement, prepared.sql, trace)
+        started = time.monotonic()
+        feedback = self.feedback
+        planned = self.planner.plan(
+            statement,
+            feedback=(feedback.view(prepared.fingerprint)
+                      if feedback is not None else None),
+        )
+        self._phase("plan", started, trace)
+        violations = None
+        if self.plan_check_mode != "off":
+            started = time.monotonic()
+            violations = verify_plan(planned.root, planned.schema)
+            self._phase("check", started, trace, violations=len(violations))
+        return planned, violations
+
+    def _plan_text(self, sql, prepared=None):
+        """:meth:`_plan` from text, for the entry points that do not run it."""
+        if prepared is None:
+            prepared = self.prepare(sql)
+        if prepared.error is not None:
+            raise prepared.error
+        if not prepared.is_query:
+            raise SQLError("not a query")
+        return self._plan(prepared, prepared.ast())
+
+    def _enforce_plan_check(self, violations, sql):
+        """Apply :attr:`plan_check_mode` to the verifier's findings.
+
         Strict mode raises on any violation — a plan that fails its own
         type check must not reach the executor; warn mode logs, counts
         (``check_plan_violations_total``) and lets the plan run, which is
         the right posture for a long-lived service.
         """
-        if self.plan_check_mode == "off":
-            return None
-        started = time.monotonic()
-        violations = verify_plan(planned.root, planned.schema)
-        ended = time.monotonic()
-        if metrics is not None:
-            self._phase_histogram("check").observe(ended - started)
-        if trace is not None:
-            trace.add_span("check", started, ended,
-                           violations=len(violations))
-        if violations:
-            if metrics is not None:
-                counter = self._plan_violation_counter
-                if counter is None:
-                    counter = metrics.counter(
-                        "check_plan_violations_total",
-                        "Plans rejected or flagged by the static plan "
-                        "verifier.",
-                    )
-                    self._plan_violation_counter = counter
-                counter.inc(len(violations))
-            summary = "; ".join(
-                "%s %s" % (violation.code, violation.message)
-                for violation in violations[:3])
-            if self.plan_check_mode == "strict":
-                raise PlanCheckError(
-                    "plan verification failed (%d violation(s)): %s"
-                    % (len(violations), summary),
-                    violations=violations,
+        if not violations:
+            return
+        if self.metrics is not None:
+            counter = self._plan_violation_counter
+            if counter is None:
+                counter = self.metrics.counter(
+                    "check_plan_violations_total",
+                    "Plans rejected or flagged by the static plan "
+                    "verifier.",
                 )
-            logger.warning("plan verification flagged %d violation(s) for "
-                           "%.80r: %s", len(violations), sql, summary)
-        return violations
+                self._plan_violation_counter = counter
+            counter.inc(len(violations))
+        summary = "; ".join(
+            "%s %s" % (violation.code, violation.message)
+            for violation in violations[:3])
+        if self.plan_check_mode == "strict":
+            raise PlanCheckError(
+                "plan verification failed (%d violation(s)): %s"
+                % (len(violations), summary),
+                violations=violations,
+            )
+        logger.warning("plan verification flagged %d violation(s) for "
+                       "%.80r: %s", len(violations), sql, summary)
 
-    def check_plan(self, sql):
+    def check_plan(self, sql, prepared=None):
         """Statically verify the plan a query would get, without running it.
 
         Returns the list of :class:`repro.check.plancheck.PlanViolation`
         (empty = the plan honours every checked invariant), or None when
-        the statement is not a plannable, semantically valid query — the
-        REST ``/check`` endpoint and ``repro lint --explain`` surface that
-        as the absence of a verdict rather than an error.
+        the statement is not a plannable, semantically valid query (or the
+        verifier is off) — the REST ``/check`` endpoint and ``repro lint
+        --explain`` surface that as the absence of a verdict rather than
+        an error.
         """
         try:
-            statement = parser.parse(sql)
-            if not isinstance(statement,
-                              (ast.Select, ast.SetOperation, ast.WithQuery)):
-                return None
-            analysis = semantic.analyze(statement, self.catalog, source=sql)
-            if not analysis.ok:
-                return None
-            planned = self.planner.plan(statement)
+            _planned, violations = self._plan_text(sql, prepared)
         except SQLError:
             return None
-        return verify_plan(planned.root, planned.schema)
+        return violations
 
     def _probe(self, cache, key, trace):
         """One result-cache probe (validation included), traced when asked."""
@@ -352,7 +371,7 @@ class Database(object):
                        hit=entry is not None)
         return entry
 
-    def check(self, sql, lint=True):
+    def check(self, sql, lint=True, prepared=None):
         """Statically analyze one statement; nothing is planned or executed.
 
         Returns the full list of :class:`Diagnostic` findings — syntax
@@ -360,10 +379,11 @@ class Database(object):
         warnings — instead of raising.  An empty list means the statement is
         clean.
         """
-        try:
-            statement = parser.parse(sql)
-        except (LexError, ParseError) as error:
-            return [Diagnostic.from_error(error, sql)]
+        if prepared is None:
+            prepared = self.prepare(sql)
+        if prepared.error is not None:
+            return [Diagnostic.from_error(prepared.error, sql)]
+        statement = prepared.ast()
         if lint:
             from repro.lint import lint_statement
 
@@ -373,23 +393,13 @@ class Database(object):
         result = semantic.analyze(statement, self.catalog, source=sql)
         return result.sorted_diagnostics()
 
-    def explain(self, sql):
+    def explain(self, sql, prepared=None):
         """Plan a query and return its SHOWPLAN-style XML without running it.
 
         This is the engine's ``SHOWPLAN_XML`` switch, the entry point for
         Phase 1 of the paper's analysis methodology.
         """
-        statement = parser.parse(sql)
-        if not isinstance(statement, (ast.Select, ast.SetOperation, ast.WithQuery)):
-            raise SQLError("only queries can be explained")
-        feedback = self.feedback
-        planned = self.planner.plan(
-            statement,
-            feedback=(feedback.view_for(sql)
-                      if feedback is not None else None),
-        )
-        plan_check = (verify_plan(planned.root, planned.schema)
-                      if self.plan_check_mode != "off" else None)
+        planned, plan_check = self._plan_text(sql, prepared)
         xml = plan_to_xml(
             planned.root, statement_text=sql,
             expression_ops=planned.info.expression_ops,
@@ -399,12 +409,9 @@ class Database(object):
         return ExplainedQuery(planned.root, planned.schema, planned.info, xml,
                               plan_check=plan_check)
 
-    def query_schema(self, sql):
+    def query_schema(self, sql, prepared=None):
         """Output columns (name, SQLType) a query would produce."""
-        statement = parser.parse(sql)
-        if not isinstance(statement, (ast.Select, ast.SetOperation, ast.WithQuery)):
-            raise SQLError("not a query")
-        planned = self.planner.plan(statement)
+        planned, _violations = self._plan_text(sql, prepared)
         return [(column.name, column.sql_type) for column in planned.schema]
 
     # -- DDL / DML ----------------------------------------------------------------
@@ -543,10 +550,18 @@ class Database(object):
 
 
 def _strip_order_by(query_ast):
-    if isinstance(query_ast, ast.Select) and query_ast.top is None:
-        query_ast.order_by = []
-    if isinstance(query_ast, ast.SetOperation):
-        query_ast.order_by = []
+    """A copy of ``query_ast`` without its top-level ORDER BY (shallow: only
+    the nodes that change are copied, the caller's AST is left alone)."""
     if isinstance(query_ast, ast.WithQuery):
-        _strip_order_by(query_ast.body)
-    return query_ast
+        body = _strip_order_by(query_ast.body)
+        if body is query_ast.body:
+            return query_ast
+        stripped = copy.copy(query_ast)
+        stripped.body = body
+        return stripped
+    if not query_ast.order_by or (
+            isinstance(query_ast, ast.Select) and query_ast.top is not None):
+        return query_ast
+    stripped = copy.copy(query_ast)
+    stripped.order_by = []
+    return stripped

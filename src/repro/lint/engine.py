@@ -1,7 +1,7 @@
 """Rule registry and drivers for the lint layer."""
 
-from repro.engine import parser, semantic
-from repro.errors import Diagnostic, LexError, ParseError, Span
+from repro.engine import semantic
+from repro.errors import Diagnostic, Span
 
 #: code -> LintRule, in registration order (dicts preserve it).
 RULES = {}
@@ -128,25 +128,12 @@ def lint_text(text, db, apply_statements=True, lint=True):
         pad = len(stmt_text) - len(stmt_text.lstrip())
         stmt_offset = offset + pad
         stmt_text = stmt_text.strip()
-        try:
-            statement = parser.parse(stmt_text)
-        except (LexError, ParseError) as error:
-            diagnostic = Diagnostic.from_error(error, stmt_text)
-            diagnostic.span = _shift_span(diagnostic.span, stmt_offset, text)
-            findings.append(diagnostic)
-            continue
-        if lint:
-            _result, diagnostics = lint_statement(
-                statement, db.catalog, source=stmt_text)
-        else:
-            result = semantic.analyze(statement, db.catalog, source=stmt_text)
-            diagnostics = result.sorted_diagnostics()
+        prepared = db.prepare(stmt_text)
         had_error = False
-        for diagnostic in diagnostics:
+        for diagnostic in db.check(stmt_text, lint=lint, prepared=prepared):
             had_error = had_error or diagnostic.severity == "error"
             diagnostic.span = _shift_span(diagnostic.span, stmt_offset, text)
             findings.append(diagnostic)
-        if (apply_statements and not had_error
-                and not isinstance(statement, semantic.QUERY_NODES)):
-            db.execute(stmt_text)
+        if apply_statements and not had_error and not prepared.is_query:
+            db.execute(stmt_text, prepared=prepared)
     return findings

@@ -46,7 +46,7 @@ from repro.obs.profiler import (
     q_error,
     render_explain_analyze,
 )
-from repro.obs.querystore import QueryStore, plan_fingerprint, query_fingerprint
+from repro.obs.querystore import QueryStore, plan_fingerprint
 from repro.obs.timeseries import MetricsSampler, TimeSeriesStore
 from repro.obs.tracing import Span, Trace
 
@@ -70,6 +70,5 @@ __all__ = [
     "default_rules",
     "plan_fingerprint",
     "q_error",
-    "query_fingerprint",
     "render_explain_analyze",
 ]

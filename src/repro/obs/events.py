@@ -30,7 +30,6 @@ durability journal (the WAL owns durability).  ``flush()`` forces the
 buffer out for readers that cannot wait.
 """
 
-import hashlib
 import json
 import os
 import threading
@@ -48,18 +47,6 @@ FLUSH_INTERVAL = 0.2
 #: File name every process uses inside its own directory; ``repro logs``
 #: discovers coordinator + shard logs by this name.
 EVENTS_FILE = "events.jsonl"
-
-
-def fingerprint(sql):
-    """Cheap stable fingerprint of one statement's raw text.
-
-    Deliberately *not* the query store's normalized fingerprint (that one
-    needs a parse); a raw-text hash costs O(len) and is stable enough to
-    group repeat submissions in the log.
-    """
-    if sql is None:
-        return None
-    return hashlib.sha256(sql.encode("utf-8", "replace")).hexdigest()[:12]
 
 
 class EventLog(object):

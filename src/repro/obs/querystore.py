@@ -7,9 +7,10 @@ every query fingerprint, keep runtime statistics *per plan*, so that when
 the optimizer switches plans the old plan's baseline is still there to
 compare against.  This module is that layer for the repro runtime:
 
-- a **query fingerprint** is a short hash of the normalized SQL text (the
-  same normalization the result cache keys on, so whitespace/case variants
-  unify);
+- a **query fingerprint** is the statement's one identity,
+  ``PreparedStatement.fingerprint`` (:mod:`repro.engine.prepared`): a short
+  hash of the parser-rendered text the result cache keys on, so
+  whitespace/case variants unify;
 - a **plan fingerprint** is a short hash of the physical plan's *shape* —
   operator names, table bindings and tree structure, deliberately
   excluding cardinality estimates so that stats drift alone does not read
@@ -32,15 +33,8 @@ import threading
 import time
 from collections import OrderedDict, deque
 
+from repro.engine.prepared import prepare_statement
 from repro.obs.metrics import P2Quantile
-
-
-def normalize_sql(sql):
-    """The result cache's canonical rendering (lazy import: the runtime
-    package imports this module, so a top-level import would cycle)."""
-    from repro.runtime.cache import normalize_sql as _normalize
-
-    return _normalize(sql)
 
 
 #: Executions a plan needs before it counts as an established baseline
@@ -50,12 +44,6 @@ DEFAULT_MIN_EXECUTIONS = 5
 #: A newer plan is a regression when its mean latency exceeds the
 #: baseline plan's mean by this factor (and both are established).
 DEFAULT_REGRESSION_FACTOR = 1.5
-
-
-def query_fingerprint(sql, normalized=None):
-    """Short stable hash of the normalized SQL text."""
-    text = normalized if normalized is not None else normalize_sql(sql)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def plan_fingerprint(root):
@@ -293,24 +281,27 @@ class QueryStore(object):
     # -- recording ------------------------------------------------------------
 
     def record(self, sql, plan=None, plan_fp=None, seconds=0.0, rows=0,
-               error=False, cache_hit=False, normalized=None, epoch=None):
+               error=False, cache_hit=False, prepared=None, epoch=None):
         """Fold one completion in; returns the entry's fingerprint.
 
-        ``plan`` is the physical plan root (fingerprinted here) or pass a
-        precomputed ``plan_fp``.  Failed completions carry no plan and are
-        accumulated under the entry's current plan (or a ``"-"`` bucket
-        before any plan is known).
+        ``prepared`` is the statement's :class:`PreparedStatement` when the
+        caller already holds one (the scheduler's job does); otherwise the
+        text is prepared here.  ``plan`` is the physical plan root
+        (fingerprinted here) or pass a precomputed ``plan_fp``.  Failed
+        completions carry no plan and are accumulated under the entry's
+        current plan (or a ``"-"`` bucket before any plan is known).
         """
         if epoch is None:
             epoch = time.time()
-        normalized = normalized if normalized is not None else normalize_sql(sql)
-        fingerprint = query_fingerprint(sql, normalized=normalized)
+        if prepared is None:
+            prepared = prepare_statement(sql)
+        fingerprint = prepared.fingerprint
         if plan_fp is None:
             plan_fp = plan_fingerprint(plan)
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is None:
-                entry = QueryStoreEntry(fingerprint, normalized)
+                entry = QueryStoreEntry(fingerprint, prepared.key)
                 entry.first_seen = epoch
                 self._entries[fingerprint] = entry
                 while len(self._entries) > self.capacity:

@@ -9,7 +9,7 @@ See DESIGN.md's "Query runtime" section for the full picture.
 """
 
 from repro.runtime.batch import BatchLane, mydb_dataset_name
-from repro.runtime.cache import CacheStats, ResultCache, normalize_sql
+from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.cancellation import CancellationToken
 from repro.runtime.job import (
     CANCELLED,
@@ -34,7 +34,6 @@ __all__ = [
     "QueryRuntime",
     "ResultCache",
     "RuntimeConfig",
-    "normalize_sql",
     "QUEUED",
     "RUNNING",
     "SUCCEEDED",

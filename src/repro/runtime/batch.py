@@ -104,7 +104,8 @@ class BatchLane(object):
                 batch_id=record["batch_id"], timestamp=moment)
         self._submitted_total.inc()
         batch_id = record["batch_id"]
-        events.emit("batch", user=user, fingerprint=events.fingerprint(sql),
+        events.emit("batch", user=user,
+                    fingerprint=self.platform.db.prepare(sql).fingerprint,
                     batch_id=batch_id, state=batchlog.QUEUED,
                     result_dataset=record["name"])
         if inline:
@@ -232,15 +233,17 @@ class BatchLane(object):
         if not claimed:
             with self._cond:
                 self._running = batch_id
-        events.emit("batch", user=record["user"],
-                    fingerprint=events.fingerprint(record["sql"]),
+        prepared = self.platform.db.prepare(record["sql"])
+        fingerprint = prepared.fingerprint
+        events.emit("batch", user=record["user"], fingerprint=fingerprint,
                     batch_id=batch_id, state="RUNNING")
         started = time.monotonic()
         try:
             result = self.platform.run_query(
                 record["user"], record["sql"], source="batch",
-                log_extra={"outcome": "SUCCEEDED"})
-            schema = self.platform.db.query_schema(record["sql"])
+                log_extra={"outcome": "SUCCEEDED"}, prepared=prepared)
+            schema = self.platform.db.query_schema(record["sql"],
+                                                   prepared=prepared)
             self.platform.save_result_table(
                 record["user"], record["name"], schema, result.rows)
         except Exception as exc:
@@ -251,8 +254,7 @@ class BatchLane(object):
                     "batch_done", batch_id=batch_id, state=batchlog.FAILED,
                     error=str(exc), result_dataset=None)
             self._finished_total.labels(outcome=batchlog.FAILED).inc()
-            events.emit("batch", user=record["user"],
-                        fingerprint=events.fingerprint(record["sql"]),
+            events.emit("batch", user=record["user"], fingerprint=fingerprint,
                         batch_id=batch_id, state=batchlog.FAILED,
                         error=str(exc))
         else:
@@ -265,8 +267,7 @@ class BatchLane(object):
                     state=batchlog.SUCCEEDED, error=None,
                     result_dataset=record["name"])
             self._finished_total.labels(outcome=batchlog.SUCCEEDED).inc()
-            events.emit("batch", user=record["user"],
-                        fingerprint=events.fingerprint(record["sql"]),
+            events.emit("batch", user=record["user"], fingerprint=fingerprint,
                         batch_id=batch_id, state=batchlog.SUCCEEDED,
                         result_dataset=record["name"])
         finally:

@@ -2,8 +2,9 @@
 
 The paper's reuse analysis estimates that most workload cost is recoverable
 by caching derived results; this module realizes that in the runtime.  An
-entry is keyed by the *normalized* SQL text (canonical rendering of the
-parsed statement, so whitespace/keyword-case variants unify) and stamped
+entry is keyed by the *normalized* SQL text (``PreparedStatement.key``, the
+canonical rendering of the parsed statement, so whitespace/keyword-case
+variants unify) and stamped
 with the **version vector** of every table and view the plan reaches —
 ``((name, version), ...)`` sorted, with versions maintained by the catalog.
 
@@ -18,23 +19,6 @@ promptly when a dataset and its dependents change.
 
 import threading
 from collections import OrderedDict
-
-
-def normalize_sql(sql, statement=None):
-    """Canonical cache-key text for a statement.
-
-    Preferably the parser round-trip rendering (unifies whitespace, keyword
-    case and identifier quoting); falls back to whitespace-collapsed
-    lower-casing when the AST cannot be rendered.
-    """
-    if statement is not None:
-        try:
-            from repro.engine.sql_format import render_statement
-
-            return render_statement(statement)
-        except Exception:
-            pass
-    return " ".join(sql.split()).lower()
 
 
 class CacheStats(object):
@@ -95,31 +79,8 @@ class ResultCache(object):
         self.capacity = capacity
         self.max_rows_per_entry = max_rows_per_entry
         self._entries = OrderedDict()  # normalized sql -> _Entry
-        #: raw sql text -> normalized key.  Normalization is deterministic,
-        #: so this memo lets a repeat submission skip parsing entirely: the
-        #: engine probes :meth:`memoized_key` before touching the parser.
-        self._key_memo = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
-
-    def memoized_key(self, sql):
-        """The normalized key for raw text seen before, else None."""
-        with self._lock:
-            key = self._key_memo.get(sql)
-            if key is not None:
-                self._key_memo.move_to_end(sql)
-            return key
-
-    def key_for(self, sql, statement=None):
-        with self._lock:
-            key = self._key_memo.get(sql)
-        if key is None:
-            key = normalize_sql(sql, statement)
-            with self._lock:
-                self._key_memo[sql] = key
-                while len(self._key_memo) > 4 * self.capacity:
-                    self._key_memo.popitem(last=False)
-        return key
 
     def lookup(self, key, version_of):
         """Return the entry on a valid hit, else None.
@@ -193,14 +154,6 @@ class ResultCache(object):
             if dropped:
                 self.stats.invalidations += 1
             return dropped
-
-    def forget_sql(self, sql):
-        """`forget` addressed by raw statement text."""
-        with self._lock:
-            key = self._key_memo.get(sql)
-        if key is None:
-            key = normalize_sql(sql)
-        return self.forget(key)
 
     def audit(self, version_of):
         """Count cached entries whose vector is out of date.

@@ -57,10 +57,15 @@ class QueryJob(object):
 
     def __init__(self, job_id, user, sql, source="rest", timeout=None,
                  profile=False, tracing=True, cross_shard=False,
-                 trace_context=None):
+                 trace_context=None, prepared=None):
         self.job_id = job_id
         self.user = user
         self.sql = sql
+        #: The statement's :class:`repro.engine.prepared.PreparedStatement`
+        #: — parsed once at submission and read by every later stage.  The
+        #: AST is released on the terminal transition: a job retained for
+        #: polling keeps the facts (fingerprint, key), never the tree.
+        self.prepared = prepared
         self.source = source
         #: Statement timeout in seconds (None = scheduler default).
         self.timeout = timeout
@@ -140,6 +145,8 @@ class QueryJob(object):
             if error is not None:
                 self.error = error
             if new_state in TERMINAL_STATES:
+                if self.prepared is not None:
+                    self.prepared.release_ast()
                 if before_notify is not None:
                     before_notify(self)
                 self._cond.notify_all()

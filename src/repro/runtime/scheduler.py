@@ -31,20 +31,21 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.job import QueryJob
 
 
+#: Terminal jobs kept for status polling before being forgotten.
+COMPLETED_JOBS_RETAINED = 10000
+
+
 class RuntimeConfig(object):
     """Tunables for one :class:`QueryRuntime` instance."""
 
     def __init__(self, max_workers=4, per_user_max_concurrent=2,
                  per_user_queue_depth=16, statement_timeout=30.0,
                  cache_enabled=True, cache_entries=256,
-                 cache_max_rows=50000, lint_submissions=True,
-                 completed_jobs_retained=10000, tracing_enabled=True,
+                 cache_max_rows=50000, tracing_enabled=True,
                  metrics_enabled=True, querystore_enabled=True,
-                 querystore_entries=512, monitor_enabled=False,
-                 monitor_interval=5.0, histogram_max_seconds=None,
-                 batch_workers=1, events_enabled=None,
-                 adaptive_enabled=True, adaptive_q_error_bound=4.0,
-                 adaptive_max_replans=3):
+                 monitor_enabled=False, monitor_interval=5.0,
+                 histogram_max_seconds=None, events_enabled=None,
+                 adaptive_enabled=True, adaptive_q_error_bound=4.0):
         #: Worker threads.  0 means no threads are ever spawned: submissions
         #: run inline in the caller (the tests' synchronous mode) or wait in
         #: the queue for explicit :meth:`QueryRuntime.step` calls.
@@ -56,11 +57,6 @@ class RuntimeConfig(object):
         self.cache_enabled = cache_enabled
         self.cache_entries = cache_entries
         self.cache_max_rows = cache_max_rows
-        #: Run the lint/semantic checker on every submission and attach the
-        #: diagnostics to the job record.
-        self.lint_submissions = lint_submissions
-        #: Terminal jobs kept for status polling before being forgotten.
-        self.completed_jobs_retained = completed_jobs_retained
         #: Record per-job lifecycle spans (queued / run / engine phases).
         self.tracing_enabled = tracing_enabled
         #: Register scheduler/cache/engine instruments on the platform's
@@ -71,7 +67,6 @@ class RuntimeConfig(object):
         #: completions.  Follows metrics_enabled: the uninstrumented
         #: baseline must not pay for it either.
         self.querystore_enabled = querystore_enabled
-        self.querystore_entries = querystore_entries
         #: Run the continuous monitor (metrics sampler + alert rules).
         #: Off by default for library use; ``repro serve`` turns it on.
         self.monitor_enabled = monitor_enabled
@@ -86,11 +81,6 @@ class RuntimeConfig(object):
         #: baseline pays for neither.
         self.events_enabled = (metrics_enabled if events_enabled is None
                                else events_enabled)
-        #: Batch-lane worker threads (CasJobs lane; see runtime/batch.py).
-        #: Effectively capped at 1 — batches serialize per shard.  When the
-        #: interactive pool is workerless (max_workers=0) the lane is
-        #: workerless too, and batch submissions run inline.
-        self.batch_workers = batch_workers
         #: Close the observation -> planning loop (repro.adaptive): harvest
         #: observed cardinalities from profiled runs, schedule probes when
         #: the root q-error exceeds the bound or the Query Store issues a
@@ -99,7 +89,6 @@ class RuntimeConfig(object):
         #: analysis/regressions.py plants a regression on purpose).
         self.adaptive_enabled = adaptive_enabled
         self.adaptive_q_error_bound = adaptive_q_error_bound
-        self.adaptive_max_replans = adaptive_max_replans
 
     def to_dict(self):
         return dict(self.__dict__)
@@ -163,7 +152,7 @@ class QueryRuntime(object):
         if self.config.querystore_enabled and self.config.metrics_enabled:
             store = getattr(platform, "query_store", None)
             if store is None:
-                store = QueryStore(capacity=self.config.querystore_entries)
+                store = QueryStore()
                 platform.query_store = store
             self.query_store = store
         else:
@@ -187,7 +176,6 @@ class QueryRuntime(object):
                 feedback, cache=self.cache, query_store=self.query_store,
                 metrics=self.metrics,
                 q_error_bound=self.config.adaptive_q_error_bound,
-                max_replans=self.config.adaptive_max_replans,
                 events_enabled=self.config.events_enabled)
         else:
             self.feedback_store = None
@@ -200,15 +188,6 @@ class QueryRuntime(object):
                 self.monitor.start()
         else:
             self.monitor = None
-        #: sql text -> lint diagnostics.  Linting parses the statement, so
-        #: repeat submissions (the workload's dominant pattern, §6.3) would
-        #: otherwise pay a full parse before even reaching the result
-        #: cache's no-parse fast path.  Diagnostics are advisory, so a memo
-        #: keyed on text alone is acceptable.  Guarded by its own lock —
-        #: never by ``_cond`` — so a memo miss's full parse+analyze cannot
-        #: stall dispatch (selfcheck SELFCHECK003 found exactly that).
-        self._lint_memo = {}
-        self._lint_lock = threading.Lock()
         # -- the batch lane (CasJobs-style second queue).  Constructed last
         # so it can resume journalled-but-unfinished batches from a
         # recovered platform through the fully wired runtime.
@@ -216,8 +195,7 @@ class QueryRuntime(object):
 
         self.batch = BatchLane(
             platform, runtime=self,
-            workers=(self.config.batch_workers
-                     if self.config.max_workers > 0 else 0))
+            workers=1 if self.config.max_workers > 0 else 0)
 
     def _install_instruments(self):
         """Register the scheduler's named instruments.
@@ -324,22 +302,26 @@ class QueryRuntime(object):
         """
         if inline is None:
             inline = self.config.max_workers <= 0
-        # Lint BEFORE taking the scheduler lock: a memo miss runs a full
-        # parse + semantic pass, and holding _cond across it would stall
-        # every worker wake-up and dispatch for the duration.  Diagnostics
-        # are advisory, so computing them pre-admission is harmless even if
-        # the submission is then refused.
-        diagnostics = None
-        lint_span = None
-        if self.config.lint_submissions:
-            lint_started = time.monotonic()
-            diagnostics = self._lint(sql)
-            lint_span = (lint_started, time.monotonic())
+        # Prepare and lint BEFORE taking the scheduler lock: first sight of
+        # a text runs a full parse + semantic pass, and holding _cond
+        # across it would stall every worker wake-up and dispatch for the
+        # duration (selfcheck SELFCHECK003 found exactly that).
+        # Diagnostics are advisory, so computing them pre-admission is
+        # harmless even if the submission is then refused.  This is the
+        # statement's only parse: the job carries ``prepared`` to the
+        # permission check, the engine, the Query Store, the adaptive
+        # controller and the event log.
+        db = self.platform.db
+        prepare_started = time.monotonic()
+        prepared = db.prepare(sql)
+        lint_started = time.monotonic()
+        diagnostics = db.diagnostics(prepared)
+        lint_ended = time.monotonic()
         # Adaptive probe upgrade: when the controller wants fresh actuals
         # for this fingerprint, run this submission profiled (profiled runs
         # bypass the result cache, so harvested cardinalities are real).
         if (not profile and self.adaptive is not None
-                and self.adaptive.wants_probe(sql)):
+                and self.adaptive.wants_probe(prepared.fingerprint)):
             profile = True
         with self._cond:
             if self._shutdown:
@@ -354,13 +336,14 @@ class QueryRuntime(object):
                            source=source, timeout=timeout, profile=profile,
                            tracing=self.config.tracing_enabled,
                            cross_shard=cross_shard,
-                           trace_context=trace_context)
+                           trace_context=trace_context, prepared=prepared)
             self._jobs_submitted.inc()
-            if diagnostics is not None:
-                job.diagnostics = diagnostics
-                if job.trace is not None:
-                    job.trace.add_span("lint", lint_span[0], lint_span[1],
-                                       findings=len(diagnostics))
+            job.diagnostics = diagnostics
+            if job.trace is not None:
+                if prepared.parsed_now:
+                    job.trace.add_span("parse", prepare_started, lint_started)
+                job.trace.add_span("lint", lint_started, lint_ended,
+                                   findings=len(diagnostics))
             self._jobs[job.job_id] = job
             self._prune_terminal_locked()
             if not inline:
@@ -376,7 +359,7 @@ class QueryRuntime(object):
             events.emit(
                 "submit",
                 trace_id=job.trace.trace_id if job.trace is not None else None,
-                user=user, fingerprint=events.fingerprint(sql),
+                user=user, fingerprint=prepared.fingerprint,
                 job_id=job.job_id, source=source,
                 cross_shard=cross_shard or None)
         if inline:
@@ -384,25 +367,6 @@ class QueryRuntime(object):
         else:
             self._ensure_workers()
         return job
-
-    def _lint(self, sql):
-        with self._lint_lock:
-            diagnostics = self._lint_memo.get(sql)
-        if diagnostics is None:
-            # The expensive part (full parse + analyze) runs unlocked;
-            # concurrent misses on the same text do duplicate work at
-            # worst, never block each other.
-            try:
-                diagnostics = [
-                    d.to_dict() for d in self.platform.db.check(sql, lint=True)
-                ]
-            except Exception:
-                diagnostics = []  # advisory; never block submission
-            with self._lint_lock:
-                if len(self._lint_memo) > 4096:
-                    self._lint_memo.clear()
-                self._lint_memo[sql] = diagnostics
-        return diagnostics
 
     # -- lookup / cancellation ------------------------------------------------
 
@@ -531,6 +495,7 @@ class QueryRuntime(object):
                 cancellation=job.token,
                 log_extra=log_extra,
                 trace=job.trace, profile=job.profile,
+                prepared=job.prepared,
             )
         except QueryTimeout as exc:
             job.error_class = classify_error(exc)
@@ -557,9 +522,13 @@ class QueryRuntime(object):
             self._exec_hist.observe(job.exec_seconds)
             self._worker_busy.inc(job.exec_seconds)
             self._jobs_finished.labels(outcome=job.state).inc()
-            fingerprint = self._record_querystore(job)
+            self._record_querystore(job)
             if self.adaptive is not None:
-                self.adaptive.after_job(job, fingerprint=fingerprint)
+                self.adaptive.after_job(job)
+            if job.result is not None:
+                # The completion path above was the plan's last reader; a
+                # job retained for polling serves rows, not operator trees.
+                job.result.plan = job.result.info = None
             if self.config.events_enabled:
                 trace_id = (job.trace.trace_id
                             if job.trace is not None else None)
@@ -567,11 +536,11 @@ class QueryRuntime(object):
                     events.emit(
                         "cache_hit" if job.cache_hit else "cache_miss",
                         trace_id=trace_id, user=job.user,
-                        fingerprint=events.fingerprint(job.sql),
+                        fingerprint=job.prepared.fingerprint,
                         job_id=job.job_id)
                 events.emit(
                     "finish", trace_id=trace_id, user=job.user,
-                    fingerprint=events.fingerprint(job.sql),
+                    fingerprint=job.prepared.fingerprint,
                     job_id=job.job_id, outcome=job.state,
                     exec_ms=round(job.exec_seconds * 1000.0, 3),
                     cross_shard=job.cross_shard or None)
@@ -581,32 +550,23 @@ class QueryRuntime(object):
                 self._cond.notify_all()
 
     def _record_querystore(self, job):
-        """Fold one terminal job into the per-fingerprint Query Store.
-
-        Returns the entry's fingerprint (None when the store is off or the
-        record failed) — the adaptive controller uses it for regression-
-        verdict lookups without re-normalizing the text."""
+        """Fold one terminal job into the per-fingerprint Query Store."""
         store = self.query_store
         if store is None:
-            return None
+            return
         try:
-            normalized = None
-            if self.cache is not None:
-                # Reuse the cache's memoized parser-rendered key so repeat
-                # submissions never re-normalize on the completion path.
-                normalized = self.cache.memoized_key(job.sql)
             result = job.result
-            return store.record(
+            store.record(
                 job.sql,
                 plan=result.plan if result is not None else None,
                 seconds=job.exec_seconds,
                 rows=len(result.rows) if result is not None else 0,
                 error=job.state != jobmod.SUCCEEDED,
                 cache_hit=bool(job.cache_hit),
-                normalized=normalized,
+                prepared=job.prepared,
             )
         except Exception:
-            return None  # history is advisory; never take the scheduler down
+            pass  # history is advisory; never take the scheduler down
 
     def _log_outcome(self, job):
         """Append the structured failure/cancel record to the query log
@@ -641,8 +601,7 @@ class QueryRuntime(object):
             worker.join(timeout=1.0)
 
     def _prune_terminal_locked(self):
-        keep = self.config.completed_jobs_retained
-        excess = len(self._jobs) - keep
+        excess = len(self._jobs) - COMPLETED_JOBS_RETAINED
         if excess <= 0:
             return
         # Drop the oldest terminal jobs.  Only the front of the (insertion-

@@ -273,14 +273,16 @@ class SQLShareApp(object):
         """Static analysis only: diagnostics for a statement, no execution."""
         sql = _require(body, "sql")
         lint = body.get("lint", True)
-        diagnostics = self.platform.db.check(sql, lint=bool(lint))
+        prepared = self.platform.db.prepare(sql)
+        diagnostics = self.platform.db.check(sql, lint=bool(lint),
+                                             prepared=prepared)
         payload = {
             "diagnostics": [d.to_dict() for d in diagnostics],
             "ok": all(d.severity != "error" for d in diagnostics),
         }
         # Static plan verdict: "ok", a list of violations, or absent when
         # the statement is not a plannable, semantically valid query.
-        violations = self.platform.db.check_plan(sql)
+        violations = self.platform.db.check_plan(sql, prepared=prepared)
         if violations is not None:
             payload["plan_check"] = (
                 "ok" if not violations

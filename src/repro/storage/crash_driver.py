@@ -27,6 +27,11 @@ from repro.storage.manager import StorageManager
 
 def _workload_steps(platform):
     """Yield (description, thunk) pairs; each thunk commits >= 1 mutation."""
+    # The query log is part of the state digest and records wall-clock
+    # ``exec_seconds``.  Pinning it makes every milestone digest a function
+    # of the step sequence alone, so digests from two driver processes are
+    # comparable (the superset test relies on that).
+    timing = {"exec_seconds": 0.0}
     rows = "id,species,count\n1,coho,14\n2,chinook,3\n3,chum,25\n"
     more = "id,species,count\n4,sockeye,9\n5,pink,40\n"
     yield "upload-a", lambda: platform.upload(
@@ -40,13 +45,14 @@ def _workload_steps(platform):
     yield "share", lambda: platform.share("alice", "Big Runs", "bob")
     yield "public", lambda: platform.make_public("bob", "Gene List")
     yield "query-1", lambda: platform.run_query(
-        "alice", "SELECT * FROM [Big Runs]")
+        "alice", "SELECT * FROM [Big Runs]", log_extra=timing)
     yield "append", lambda: platform.append("alice", "Salmon Counts", more)
     yield "quota", lambda: platform.quotas.set_limit("carol", 1024 * 1024)
     yield "upload-c", lambda: platform.upload(
         "carol", "Temp Upload", "x,y\n1,2\n3,4\n")
     yield "query-2", lambda: platform.run_query(
-        "bob", "SELECT gene FROM [Gene List] WHERE score > 0.8")
+        "bob", "SELECT gene FROM [Gene List] WHERE score > 0.8",
+        log_extra=timing)
     yield "macro", lambda: platform.macros.define(
         "alice", "top_counts", "SELECT * FROM $t WHERE count > $n")
     yield "describe", lambda: platform.set_description(
@@ -57,7 +63,7 @@ def _workload_steps(platform):
     yield "delete", lambda: platform.delete_dataset("carol", "Temp Upload")
     yield "doi", lambda: platform.mint_doi("bob", "Gene Snapshot")
     yield "query-3", lambda: platform.run_query(
-        "bob", "SELECT COUNT(*) AS n FROM [Gene Snapshot]")
+        "bob", "SELECT COUNT(*) AS n FROM [Gene Snapshot]", log_extra=timing)
     yield "unshare", lambda: platform.unshare("alice", "Big Runs", "bob")
 
 

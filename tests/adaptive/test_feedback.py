@@ -4,6 +4,7 @@ the planner's consumption of observed cardinalities."""
 from repro.adaptive import CardinalityFeedbackStore
 from repro.adaptive.feedback import _plan_walk, operator_site_key
 from repro.core.sqlshare import SQLShare
+from repro.engine.prepared import prepare_statement
 
 SQL = "select * from [t] where flag <> 'x'"
 
@@ -18,24 +19,16 @@ def _platform(rows=100):
     return platform
 
 
+def _fingerprint(sql):
+    return prepare_statement(sql).fingerprint
+
+
 def _harvested(platform, sql=SQL):
     store = CardinalityFeedbackStore()
     result = platform.db.execute(sql, profile=True)
-    sites = store.harvest(store.fingerprint_for(sql), result.plan,
+    sites = store.harvest(_fingerprint(sql), result.plan,
                           result.profile)
     return store, sites
-
-
-class TestFingerprints:
-    def test_whitespace_and_case_insensitive(self):
-        store = CardinalityFeedbackStore()
-        assert (store.fingerprint_for("select * from [t]")
-                == store.fingerprint_for("SELECT  *   FROM [t]"))
-
-    def test_distinct_statements_differ(self):
-        store = CardinalityFeedbackStore()
-        assert (store.fingerprint_for("select a from t")
-                != store.fingerprint_for("select b from t"))
 
 
 def _walk(plan):
@@ -92,9 +85,9 @@ class TestHarvestAndConsume:
     def test_invalidate_forgets_a_fingerprint(self):
         platform = _platform()
         store, _sites = _harvested(platform)
-        assert store.view_for(SQL) is not None
-        store.invalidate(store.fingerprint_for(SQL))
-        assert store.view_for(SQL) is None
+        assert store.view(_fingerprint(SQL)) is not None
+        store.invalidate(_fingerprint(SQL))
+        assert store.view(_fingerprint(SQL)) is None
 
     def test_capacity_bounds_fingerprints(self):
         platform = _platform()
@@ -102,7 +95,7 @@ class TestHarvestAndConsume:
         for flag in ("a", "b", "c"):
             sql = "select * from [t] where flag <> '%s'" % flag
             result = platform.db.execute(sql, profile=True)
-            store.harvest(store.fingerprint_for(sql), result.plan,
+            store.harvest(_fingerprint(sql), result.plan,
                           result.profile)
         assert store.summary()["fingerprints"] == 2
 

@@ -3,12 +3,13 @@ first-fire events, and the runtime wiring."""
 
 from types import SimpleNamespace
 
-from repro.adaptive import AdaptiveController, CardinalityFeedbackStore
+from repro.adaptive import AdaptiveController, CardinalityFeedbackStore, replan
 from repro.analysis.adaptive_flip import (
     FLIP_SQL,
     build_flip_platform,
     run_flip_experiment,
 )
+from repro.engine.prepared import prepare_statement
 from repro.obs import events
 from repro.runtime import QueryRuntime, RuntimeConfig
 
@@ -58,29 +59,32 @@ class TestFlipEndToEnd:
 class TestControllerUnit:
     def test_probe_request_is_idempotent(self):
         controller = AdaptiveController(CardinalityFeedbackStore())
-        sql = "select 1 as x"
-        assert controller.wants_probe(sql) is False  # empty fast path
-        fingerprint = controller.feedback.fingerprint_for(sql)
-        assert controller.request_probe(fingerprint, sql=sql) is True
-        assert controller.request_probe(fingerprint, sql=sql) is False
-        assert controller.wants_probe(sql) is True
+        prepared = prepare_statement("select 1 as x")
+        fingerprint = prepared.fingerprint
+        assert controller.wants_probe(fingerprint) is False  # empty fast path
+        assert controller.request_probe(fingerprint, prepared.key) is True
+        assert controller.request_probe(fingerprint, prepared.key) is False
+        assert controller.wants_probe(fingerprint) is True
         assert controller.summary()["pending_probes"] == 1
 
     def test_after_job_swallows_garbage(self):
         controller = AdaptiveController(CardinalityFeedbackStore())
-        controller.after_job(object())  # no sql/result; must not raise
-        controller.after_job(SimpleNamespace(sql=None, result=None))
+        controller.after_job(object())  # no prepared/result; must not raise
+        controller.after_job(SimpleNamespace(prepared=None, result=None))
 
-    def test_max_replans_caps_probe_cycles(self):
-        controller = AdaptiveController(CardinalityFeedbackStore(),
-                                        max_replans=0)
+    def test_max_replans_caps_probe_cycles(self, monkeypatch):
         job = SimpleNamespace(
-            sql="select * from t", cache_hit=False, profile=False,
-            profile_data=None,
+            prepared=prepare_statement("select * from t"),
+            cache_hit=False, profile=False, profile_data=None,
             result=SimpleNamespace(rows=[(1,)] * 100,
                                    plan=SimpleNamespace(est_rows=1.0)))
+        controller = AdaptiveController(CardinalityFeedbackStore())
         controller.after_job(job)
-        assert controller.summary()["pending_probes"] == 0
+        assert controller.summary()["pending_probes"] == 1
+        monkeypatch.setattr(replan, "MAX_REPLANS", 0)
+        capped = AdaptiveController(CardinalityFeedbackStore())
+        capped.after_job(job)
+        assert capped.summary()["pending_probes"] == 0
 
 
 class _Entry(object):
@@ -112,8 +116,8 @@ class TestRegressionFirstFire:
 
     def _job(self):
         return SimpleNamespace(
-            sql="select * from t", cache_hit=False, profile=False,
-            profile_data=None,
+            prepared=SimpleNamespace(fingerprint="fp1", key="select * from t"),
+            cache_hit=False, profile=False, profile_data=None,
             result=SimpleNamespace(rows=[(1,)],
                                    plan=SimpleNamespace(est_rows=1.0)))
 
@@ -127,8 +131,8 @@ class TestRegressionFirstFire:
             controller = AdaptiveController(
                 CardinalityFeedbackStore(), query_store=_Store(self.VERDICT),
                 metrics=metrics)
-            controller.after_job(self._job(), fingerprint="fp1")
-            controller.after_job(self._job(), fingerprint="fp1")  # dedup
+            controller.after_job(self._job())
+            controller.after_job(self._job())  # dedup
         finally:
             events.configure(path=None)
         snapshot = metrics.snapshot()

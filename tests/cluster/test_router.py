@@ -76,3 +76,62 @@ class TestDatasetDirectory:
         entries = directory.entries()
         entries[0]["shard"] = 99
         assert directory.shard_of("sales") == 0
+
+
+class _RecordingCoordinator(object):
+    """Just enough coordinator for ``ClusterApp._submit_query``: user bob
+    lives on shard 0, dataset ``secret`` on shard 1."""
+
+    def __init__(self):
+        self.resolved = []
+        self.calls = []
+
+    def shard_for_user(self, user):
+        return 0
+
+    def resolve(self, name, trace=None):
+        self.resolved.append(name)
+        return {"shard": 1, "owner": "alice"} if name == "secret" else None
+
+    def call(self, shard, message, trace=None):
+        self.calls.append((shard, message["op"]))
+        if message["op"] == "fetch_dataset":
+            return {"ok": False, "error_type": "PermissionError",
+                    "error": "no access"}
+        return {"ok": True, "status": 202, "payload": {"id": "q000001"}}
+
+
+class TestQueryRouting:
+    """Routing reads the same referenced names as the shards' permission
+    check (``repro.engine.prepared.referenced_names``)."""
+
+    def submit(self, sql):
+        from repro.cluster.app import ClusterApp
+
+        coordinator = _RecordingCoordinator()
+        app = ClusterApp(coordinator, tracing=False)
+        status, _payload = app._submit_query("bob", {"sql": sql})
+        return status, coordinator
+
+    def test_cte_named_like_a_remote_dataset_routes_reference_free(self):
+        status, coordinator = self.submit(
+            "WITH secret AS (SELECT 1 AS x) SELECT x FROM secret")
+        assert status == 202
+        assert coordinator.resolved == []
+        assert coordinator.calls == [(0, "http")]
+
+    def test_real_remote_reference_goes_through_its_owner(self):
+        status, coordinator = self.submit("SELECT * FROM Secret")
+        assert status == 403  # the owning shard's permission check
+        assert coordinator.resolved == ["secret"]
+        assert coordinator.calls == [(1, "fetch_dataset")]
+
+    def test_cte_shadowing_the_dataset_still_resolves_it(self):
+        _status, coordinator = self.submit(
+            "WITH secret AS (SELECT * FROM secret) SELECT * FROM secret")
+        assert coordinator.resolved == ["secret"]
+
+    def test_unparseable_text_routes_home(self):
+        status, coordinator = self.submit("SELEC 1")
+        assert status == 202
+        assert coordinator.calls == [(0, "http")]

@@ -118,13 +118,6 @@ def test_module_sink_configure_and_emit(tmp_path):
         events.configure()  # restore an import-time-equivalent sink
 
 
-def test_fingerprint_is_short_and_stable():
-    fp = events.fingerprint("SELECT * FROM sales")
-    assert fp == events.fingerprint("SELECT * FROM sales")
-    assert fp != events.fingerprint("SELECT * FROM targets")
-    assert len(fp) == 12
-
-
 def test_cluster_log_paths_and_merge(tmp_path):
     coordinator = EventLog(path=str(tmp_path / "events.jsonl"),
                            process="coordinator")

@@ -8,21 +8,10 @@ from repro.obs.querystore import (
     PlanStats,
     QueryStore,
     plan_fingerprint,
-    query_fingerprint,
 )
 
 
 class TestFingerprints:
-    def test_query_fingerprint_unifies_whitespace_and_case(self):
-        a = query_fingerprint("SELECT  *  FROM t")
-        b = query_fingerprint("select * from T")
-        assert a == b
-        assert len(a) == 12
-
-    def test_query_fingerprint_distinguishes_queries(self):
-        assert (query_fingerprint("SELECT a FROM t")
-                != query_fingerprint("SELECT b FROM t"))
-
     def test_plan_fingerprint_tracks_shape_not_estimates(self):
         platform = SQLShare()
         platform.upload("alice", "Fish",
@@ -120,7 +109,7 @@ class TestQueryStoreRecording:
         store.record("SELECT 2", plan_fp="p")
         store.record("SELECT 9", plan_fp="p")
         kept = {entry.sql for entry in store.entries()}
-        assert "select 2" in kept
+        assert "SELECT 2" in kept
 
     def test_plans_per_entry_bounded(self):
         store = QueryStore()

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.sqlshare import SQLShare
-from repro.engine import parser
-from repro.runtime import ResultCache, normalize_sql
+from repro.runtime import ResultCache
 
 CSV = "site,temp\nA,10.5\nB,11.0\nC,12.5\n"
 
@@ -15,29 +14,6 @@ def platform():
     share.upload("alice", "obs", CSV)
     share.result_cache = ResultCache()
     return share
-
-
-class TestNormalization:
-    def test_whitespace_and_case_unify(self):
-        variants = [
-            "SELECT site FROM obs",
-            "select   site\nfrom obs",
-            "select site\n\tFROM obs",
-        ]
-        keys = {
-            normalize_sql(sql, parser.parse(sql)) for sql in variants
-        }
-        assert len(keys) == 1
-
-    def test_different_queries_differ(self):
-        one = normalize_sql("SELECT site FROM obs",
-                            parser.parse("SELECT site FROM obs"))
-        two = normalize_sql("SELECT temp FROM obs",
-                            parser.parse("SELECT temp FROM obs"))
-        assert one != two
-
-    def test_fallback_without_statement(self):
-        assert normalize_sql("SELECT  1 ") == "select 1"
 
 
 class TestLookupStore:
@@ -76,12 +52,6 @@ class TestLookupStore:
         cache.store("k2", (("other", 1),), ["a"], [(2,)])
         assert cache.invalidate(["OBS"]) == 1
         assert len(cache) == 1
-
-    def test_key_memo_roundtrip(self):
-        cache = ResultCache()
-        assert cache.memoized_key("SELECT 1") is None
-        key = cache.key_for("SELECT 1", parser.parse("SELECT 1"))
-        assert cache.memoized_key("SELECT 1") == key
 
 
 class TestPlatformIntegration:

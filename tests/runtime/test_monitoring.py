@@ -4,9 +4,10 @@ store, owns the continuous monitor, and exposes both through stats()."""
 import pytest
 
 from repro.core.sqlshare import SQLShare
+from repro.engine.prepared import prepare_statement
 from repro.obs.alerts import AlertManager, AlertRule
 from repro.obs.monitor import ContinuousMonitor
-from repro.obs.querystore import QueryStore, query_fingerprint
+from repro.obs.querystore import QueryStore
 from repro.runtime import QueryRuntime, RuntimeConfig
 
 CSV = "site,temp\nA,10.5\nB,11.0\nC,12.5\n"
@@ -35,9 +36,8 @@ class TestQueryStoreWiring:
         assert store is platform.query_store
         assert len(store) == 1
         entry = store.entries()[0]
-        assert entry.fingerprint == query_fingerprint(
-            "SELECT site FROM obs",
-            normalized=runtime.cache.memoized_key("SELECT site FROM obs"))
+        assert entry.fingerprint == prepare_statement(
+            "SELECT site FROM obs").fingerprint
         # Second submission was a cache hit: counted, no latency recorded.
         assert entry.executions == 1
         assert entry.cache_hits == 1

@@ -268,7 +268,7 @@ class TestCheckEndpoint:
         db = alice._transport.app.platform.db
         monkeypatch.setattr(
             type(db), "check_plan",
-            lambda self, sql: [PlanViolation(
+            lambda self, sql, prepared=None: [PlanViolation(
                 "PLAN007", "Sort", "0", "negative row estimate")])
         payload = alice.check("SELECT site FROM obs")
         assert payload["plan_check"] == [{

@@ -97,6 +97,26 @@ class TestRoundTrip:
         assert not recovered.has_dataset("Two")
         assert report.records_beyond_limit > 0
 
+    def test_log_order_survives_swapped_wal_arrival(self, tmp_path):
+        """QueryLog.record calls its WAL listener outside the log lock, so
+        two concurrent queries can reach the WAL in the opposite order to
+        their ids; recovery must still rebuild the live (id) order."""
+        manager = StorageManager(str(tmp_path))
+        platform = manager.attach(SQLShare())
+        platform.upload("alice", "Salmon", CSV)
+        to_wal = platform.log.listener
+        held = []
+        platform.log.listener = held.append
+        platform.run_query("alice", "SELECT species FROM [Salmon]")
+        platform.run_query("alice", "SELECT count FROM [Salmon]")
+        for entry in reversed(held):  # the later query wins the race
+            to_wal(entry)
+        expected = state_digest(platform)
+        manager.close()
+        recovered, _report = StorageManager(str(tmp_path)).recover()
+        assert [entry.query_id for entry in recovered.log] == [1, 2]
+        assert state_digest(recovered) == expected
+
     def test_strict_replay_raises_lenient_collects(self, tmp_path):
         manager = StorageManager(str(tmp_path))
         platform = manager.attach(SQLShare())

@@ -21,14 +21,14 @@ answer, and this module is its end-to-end proof:
    flips to the hash join.
 
 The experiment reports the per-execution plan/latency trail and how many
-executions the correction took (the issue's acceptance bound is 20; in
-practice it is 3).  A second experiment exercises the workload advisor
-on the same machinery: a filter-heavy workload earns a clustering
+executions the correction took (the bound is 20; in practice it is 3).
+A second experiment exercises the workload advisor on the same
+machinery: a filter-heavy workload earns a clustering
 (index) recommendation, an aggregate-view workload earns a
 materialization, and both are applied and re-measured.
 
-Surfaced as ``repro advise`` (no ``--url``) and
-``benchmarks/bench_advisor.py``.
+Surfaced as ``repro advise`` (no ``--url``); the bound is held by
+``tests/adaptive/test_replan.py``.
 """
 
 import time

@@ -26,11 +26,8 @@ EXPERIMENTS.md regression-detection experiment.
 from repro.obs.querystore import QueryStore
 from repro.reporting.dashboard import render_regression_verdict
 from repro.reporting.tables import format_kv, format_table
-from repro.synth.driver import (
-    build_sqlshare_deployment,
-    replay_workload,
-    replayable_queries,
-)
+from repro.runtime import QueryRuntime, RuntimeConfig
+from repro.synth.driver import build_sqlshare_deployment, replayable_queries
 
 
 def _referenced_tables(platform, queries):
@@ -91,27 +88,26 @@ def analyze_regressions(platform=None, limit=60, rounds=6, doublings=3,
     platform.query_store = QueryStore(
         min_executions=min_executions if min_executions is not None
         else min(rounds, 5))
-    runtime = None
-    for _ in range(rounds):
-        # Cache disabled: every round must execute for real, otherwise the
-        # baselines would be one execution plus (rounds - 1) cache hits.
-        # Adaptive re-planning off: this experiment measures *detection*
-        # of a planted regression, so the loop must not correct it mid-run.
-        _stats, runtime = replay_workload(
-            platform, queries, workers=0, runtime=runtime,
-            cache_enabled=False, tracing_enabled=False,
-            adaptive_enabled=False)
+    # One serial runtime for every round.  Cache disabled: every round
+    # must execute for real, otherwise the baselines would be one execution
+    # plus (rounds - 1) cache hits.  Adaptive re-planning off: this
+    # experiment measures *detection* of a planted regression, so the loop
+    # must not correct it mid-run.
+    runtime = QueryRuntime(platform, RuntimeConfig(
+        max_workers=0, cache_enabled=False, tracing_enabled=False,
+        adaptive_enabled=False))
+
+    def replay():
+        for _ in range(rounds):
+            for user, sql in queries:
+                runtime.submit(user, sql, source="replay", inline=True)
+
+    replay()
     store = runtime.query_store
     changes_before = store.plan_changes
     grown = grow_tables(platform, _referenced_tables(platform, queries),
                         doublings=doublings, max_rows=max_rows)
-    for _ in range(rounds):
-        # Adaptive re-planning off: this experiment measures *detection*
-        # of a planted regression, so the loop must not correct it mid-run.
-        _stats, runtime = replay_workload(
-            platform, queries, workers=0, runtime=runtime,
-            cache_enabled=False, tracing_enabled=False,
-            adaptive_enabled=False)
+    replay()
     changed = [
         entry.to_dict(store.min_executions, store.regression_factor)
         for entry in store.entries() if entry.plan_changes

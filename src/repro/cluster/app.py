@@ -1,16 +1,21 @@
 """The coordinator's WSGI application: the cluster's single REST surface.
 
-Speaks the same protocol as the single-process :class:`SQLShareApp`, so
-every existing client works unchanged against ``repro serve --shards N``:
+:class:`ClusterApp` *is* a :class:`~repro.server.rest.SQLShareApp` — the
+same WSGI shell, route table, body reader, status table, error mapping
+and 401/404/405 dispatcher — whose route ``<name>`` is answered by its
+method ``_<name>`` where the cluster differs, so every existing client
+works unchanged against ``repro serve --shards N``:
 
-- **User-scoped traffic** (queries, batches, uploads, query status) goes
-  to the requesting user's home shard, which owns their datasets, their
-  scheduler admission state and their batch queue.
-- **Dataset-scoped traffic** (read/append/share/delete by name) goes to
-  the *owning* shard via the dataset directory, so a consumer on shard 1
-  can read a producer's shard-0 dataset directly.
+- **Every route without a handler here** is forwarded, by name, to the
+  shard that owns the request: the dataset's owner (via the dataset
+  directory) for ``/dataset/{name}...`` routes, so a consumer on shard 1
+  can read a producer's shard-0 dataset directly; the requesting user's
+  home shard for everything else — it owns their datasets, their
+  scheduler admission state and their batch queue.  The directory
+  follows creations and deletions.
 - **Aggregate endpoints** (``/datasets``, ``/runtime/stats``,
-  ``/metrics``, ``/health``) fan out to every live shard and merge.
+  ``/metrics``, ``/health``, ``/advisor``) fan out to every live shard
+  and merge.
 - **Cross-shard queries**: a submit whose SQL references datasets homed
   on other shards triggers the fetch-and-local-join fallback — each
   remote dataset's rows are fetched from its owning shard and installed
@@ -18,45 +23,24 @@ every existing client works unchanged against ``repro serve --shards N``:
   locally with an explicit ``cross_shard`` marker in its outcome record.
   This is the CasJobs shape: correctness first, locality when you
   co-partition, and the marker makes the expensive path measurable.
+- **Stitched traces, merged logs and ``/cluster/status``** answer from
+  the coordinator's own state.
 """
 
-import json
 import re
 import threading
 import time
 from collections import OrderedDict
 
-from repro.cluster.coordinator import ClusterError
 from repro.engine.prepared import StatementMemo
+from repro.errors import ClusterError
 from repro.obs import events
 from repro.obs.tracing import Trace, maybe_span, new_trace_id
-
-_STATUS_TEXT = {
-    200: "200 OK", 201: "201 Created", 202: "202 Accepted",
-    400: "400 Bad Request", 401: "401 Unauthorized", 403: "403 Forbidden",
-    404: "404 Not Found", 405: "405 Method Not Allowed", 409: "409 Conflict",
-    429: "429 Too Many Requests", 500: "500 Internal Server Error",
-    503: "503 Service Unavailable",
-}
-
-# Worker-reported exception class -> HTTP status (mirrors SQLShareApp's
-# except-clause ladder for errors that surface on a *remote* shard).
-_ERROR_STATUS = {
-    "PermissionError": 403,
-    "QuotaError": 403,
-    "DatasetError": 404,
-    "SQLError": 400,
-    "IngestError": 400,
-}
-
-_DATASET_PATH = re.compile(
-    r"^/api/v1/dataset/(?P<name>[^/]+)(?P<rest>/append|/permissions)?$")
-
-_QUERY_TRACE_PATH = re.compile(r"^/api/v1/query/(?P<query_id>[^/]+)/trace$")
+from repro.server.rest import SQLShareApp, error_class, error_status
 
 
-class ClusterApp(object):
-    """WSGI front end over a :class:`ClusterCoordinator`."""
+class ClusterApp(SQLShareApp):
+    """The REST surface over a :class:`ClusterCoordinator`."""
 
     #: Stitched-trace registry bound: enough for any dashboard/debug
     #: session, small enough that traces of long-gone queries age out.
@@ -75,96 +59,44 @@ class ClusterApp(object):
         #: facts (and the same function) the shards' permission checks use.
         self.statements = StatementMemo()
 
-    # -- WSGI entry point ------------------------------------------------------
+    @classmethod
+    def _route_handler(cls, method, template, name):
+        """The cluster's own handler for route ``name`` — the method
+        ``_<name>`` — where it answers differently, else a forwarder."""
+        handler = getattr(cls, "_" + name, None)
+        if handler is not None:
+            return handler
 
-    def __call__(self, environ, start_response):
-        method = environ["REQUEST_METHOD"]
-        path = environ.get("PATH_INFO", "/")
-        query = environ.get("QUERY_STRING", "")
-        user = environ.get("HTTP_X_SQLSHARE_USER")
-        content_type = "application/json"
-        try:
-            body = self._read_body(environ)
-            response = self._dispatch(method, path, query, user, body)
-            if len(response) == 3:
-                status, payload, content_type = response
-            else:
-                status, payload = response
-        except ClusterError as exc:
-            status, payload = 503, {"error": str(exc), "reason": "shard_down"}
-        except ReproError as exc:
-            status, payload = 400, {"error": str(exc)}
-        if content_type == "application/json":
-            data = json.dumps(payload, default=str).encode("utf-8")
-        else:
-            data = payload.encode("utf-8")
-        start_response(
-            _STATUS_TEXT.get(status, "%d Unknown" % status),
-            [("Content-Type", content_type),
-             ("Content-Length", str(len(data)))])
-        return [data]
+        def forward(self, user, body, **params):
+            return self._forward(method, template.format(**params), user,
+                                 body, dataset=params.get("name"))
 
-    @staticmethod
-    def _read_body(environ):
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        if not length:
-            return {}
-        raw = environ["wsgi.input"].read(length)
-        if not raw:
-            return {}
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except ValueError:
-            return {}
+        return forward
 
-    # -- dispatch --------------------------------------------------------------
+    # -- forwarding ------------------------------------------------------------
 
-    def _dispatch(self, method, path, query, user, body):
-        if path == "/api/v1/health" and method == "GET":
-            return self._health()
-        if path == "/api/v1/metrics" and method == "GET":
-            return self._metrics()
-        if path == "/api/v1/cluster/status" and method == "GET":
-            return self._cluster_status()
-        if user is None:
-            return 401, {"error": "missing X-SQLShare-User header"}
-        if path == "/api/v1/runtime/stats" and method == "GET":
-            return self._runtime_stats()
-        if path == "/api/v1/datasets" and method == "GET":
-            return self._list_datasets(user)
-        if path == "/api/v1/query" and method == "POST":
-            return self._submit_query(user, body)
-        if path == "/api/v1/logs" and method == "GET":
-            return self._logs(user, query, body)
-        if path == "/api/v1/advisor" and method == "GET":
-            return self._advisor(user, query, body)
-        if path == "/api/v1/advisor/apply" and method == "POST":
-            return self._advisor_apply(user, query, body)
-        trace_match = _QUERY_TRACE_PATH.match(path)
-        if trace_match is not None and method == "GET":
-            return self._query_trace(user, trace_match.group("query_id"),
-                                     query)
-        dataset_match = _DATASET_PATH.match(path)
-        if dataset_match is not None:
-            return self._dataset_request(
-                method, path, query, user, body,
-                dataset_match.group("name"))
-        home = self.coordinator.shard_for_user(user)
-        status, payload = self._proxy(home, method, path, query, user, body)
-        if path in ("/api/v1/upload", "/api/v1/dataset") and status == 201:
-            created = payload.get("dataset", {})
+    def _forward(self, method, path, user, body, dataset=None):
+        """Proxy one request to the shard that owns it: ``dataset``'s owner
+        when the route names one (the user's home shard for a name the
+        directory does not know), else the user's home shard."""
+        shard = self.coordinator.shard_for_user(user)
+        if dataset is not None:
+            entry = self.coordinator.resolve(dataset)
+            if entry is not None:
+                shard = entry["shard"]
+        status, payload = self._proxy(shard, method, path, user, body)
+        if status == 201 and "dataset" in payload:
+            created = payload["dataset"]  # upload / save a derived dataset
             self.coordinator.directory.register(
-                created.get("name", ""), user, home,
+                created.get("name", ""), user, shard,
                 kind=created.get("kind", "wrapper"))
+        elif method == "DELETE" and dataset is not None and status == 200:
+            self.coordinator.directory.forget(dataset)
         return status, payload
 
-    def _proxy(self, shard, method, path, query, user, body, trace=None):
-        full_path = path + ("?" + query if query else "")
+    def _proxy(self, shard, method, path, user, body, trace=None):
         reply = self.coordinator.call(shard, {
-            "op": "http", "method": method, "path": full_path,
+            "op": "http", "method": method, "path": path,
             "user": user, "body": body or None,
         }, trace=trace)
         if not reply.get("ok", False):
@@ -172,25 +104,13 @@ class ClusterApp(object):
                          "shard": shard}
         return reply["status"], reply["payload"]
 
-    # -- dataset routing -------------------------------------------------------
-
-    def _dataset_request(self, method, path, query, user, body, name):
-        """Route a by-name dataset operation to the shard that owns it."""
-        entry = self.coordinator.resolve(name)
-        home = self.coordinator.shard_for_user(user)
-        shard = entry["shard"] if entry is not None else home
-        status, payload = self._proxy(shard, method, path, query, user, body)
-        if method == "DELETE" and status == 200:
-            self.coordinator.directory.forget(name)
-        return status, payload
-
-    def _list_datasets(self, user):
+    def _list_datasets(self, user, body):
         """Union of every live shard's visible datasets, replicas excluded
         (a replica is the same dataset already listed by its owner)."""
         merged = {}
         for shard in self.coordinator.alive_shards():
             status, payload = self._proxy(
-                shard, "GET", "/api/v1/datasets", "", user, None)
+                shard, "GET", "/api/v1/datasets", user, None)
             if status != 200:
                 continue
             for info in payload.get("datasets", []):
@@ -206,7 +126,7 @@ class ClusterApp(object):
         sql = body.get("sql")
         home = self.coordinator.shard_for_user(user)
         if sql is None:
-            return self._proxy(home, "POST", "/api/v1/query", "", user, body)
+            return self._proxy(home, "POST", "/api/v1/query", user, body)
         trace = Trace(new_trace_id()) if self.tracing else None
         started = time.monotonic()
         cross = False
@@ -231,8 +151,8 @@ class ClusterApp(object):
         # The home shard's worker injects the propagated context into the
         # submit body (op http), so the job's lifecycle spans join ``trace``
         # without the body carrying anything extra from here.
-        status, payload = self._proxy(home, "POST", "/api/v1/query", "",
-                                      user, body, trace=trace)
+        status, payload = self._proxy(home, "POST", "/api/v1/query", user,
+                                      body, trace=trace)
         if trace is not None:
             job_id = payload.get("id") if isinstance(payload, dict) else None
             if status == 202 and job_id:
@@ -262,9 +182,10 @@ class ClusterApp(object):
                 "op": "fetch_dataset", "user": user, "name": name,
             }, trace=trace)
             if not fetched.get("ok", False):
-                status = _ERROR_STATUS.get(fetched.get("error_type"), 400)
-                return status, {"error": fetched.get("error", "fetch failed"),
-                                "dataset": name}
+                message = fetched.get("error", "fetch failed")
+                status = error_status(
+                    error_class(fetched.get("error_type")), message)
+                return status, {"error": message, "dataset": name}
             self.coordinator.call_checked(home, {
                 "op": "install_replica",
                 "name": fetched["name"],
@@ -278,7 +199,7 @@ class ClusterApp(object):
 
     # -- stitched traces & merged logs -----------------------------------------
 
-    def _query_trace(self, user, query_id, query):
+    def _query_trace(self, user, body, query_id):
         """The cluster-wide stitched trace for one submitted query.
 
         The coordinator's own spans (route, replicate, per-shard calls)
@@ -288,15 +209,13 @@ class ClusterApp(object):
         its spans with it — the coordinator-side spans survive, flagged
         ``truncated``, and the response lists the dead shard.
         """
+        path = "/api/v1/query/%s/trace" % query_id
         with self._traces_lock:
             entry = self._traces.get(query_id)
         if entry is None:
             # Unknown to the coordinator (tracing off, registry aged out,
             # or pre-tracing query): fall through to the plain shard view.
-            home = self.coordinator.shard_for_user(user)
-            return self._proxy(home, "GET",
-                               "/api/v1/query/%s/trace" % query_id,
-                               query, user, None)
+            return self._forward("GET", path, user, body)
         if entry["user"] != user:
             return 403, {"error": "query %s belongs to %s"
                          % (query_id, entry["user"])}
@@ -305,9 +224,7 @@ class ClusterApp(object):
         stitched = entry["trace"].snapshot()
         truncated = []
         try:
-            status, payload = self._proxy(
-                home, "GET", "/api/v1/query/%s/trace" % query_id, query,
-                user, None)
+            status, payload = self._proxy(home, "GET", path, user, body)
         except ClusterError:
             status, payload = None, None
             # The failed collection is trace-relevant: remember the trace
@@ -333,21 +250,16 @@ class ClusterApp(object):
         response["chrome_trace"] = stitched.to_chrome()
         return 200, response
 
-    def _logs(self, user, query, body):
+    def _logs(self, user, body):
         """Merged cluster event log: coordinator + every shard's files,
         ordered by timestamp.  ``?trace=`` / ``?user=`` / ``?event=``
         filter; ``?limit=`` keeps the newest N (default 200)."""
-        params = dict(body or {})
-        for pair in (query or "").split("&"):
-            key, _, value = pair.partition("=")
-            if key and value:
-                params.setdefault(key, value)
         paths = events.cluster_log_paths(self.coordinator.base_dir)
         records = events.read_events(
-            paths, trace_id=params.get("trace"), user=params.get("user"),
-            event=params.get("event"))
+            paths, trace_id=body.get("trace"), user=body.get("user"),
+            event=body.get("event"))
         try:
-            limit = int(params.get("limit", 200))
+            limit = int(body.get("limit", 200))
         except (TypeError, ValueError):
             limit = 200
         if limit and len(records) > limit:
@@ -356,19 +268,14 @@ class ClusterApp(object):
 
     # -- workload advisor (per-shard advisors, one merged ranking) -------------
 
-    def _advisor(self, user, query, body):
+    def _advisor(self, user, body):
         """Fan the advisor out to every live shard and merge into one
         ranking.  Each shard only sees its own workload and datasets, so
         its recommendations are locally correct; the merge re-ranks by
         score and stamps each entry with its home ``shard`` so apply can
         route back."""
-        params = dict(body or {})
-        for pair in (query or "").split("&"):
-            key, _, value = pair.partition("=")
-            if key and value:
-                params.setdefault(key, value)
         try:
-            limit = int(params.get("limit", 10))
+            limit = int(body.get("limit", 10))
         except (TypeError, ValueError):
             limit = 10
         merged = []
@@ -376,7 +283,7 @@ class ClusterApp(object):
         reporting = []
         for shard in self.coordinator.alive_shards():
             status, payload = self._proxy(
-                shard, "GET", "/api/v1/advisor", query, user, body)
+                shard, "GET", "/api/v1/advisor", user, body)
             if status != 200:
                 continue
             reporting.append(shard)
@@ -394,7 +301,7 @@ class ClusterApp(object):
             "recommendations": merged[:limit],
         }
 
-    def _advisor_apply(self, user, query, body):
+    def _advisor_apply(self, user, body):
         """Route one apply to the shard that owns the target dataset.
 
         The dataset directory is authoritative; a recommendation's own
@@ -412,11 +319,11 @@ class ClusterApp(object):
         if shard is None:
             shard = self.coordinator.shard_for_user(user)
         return self._proxy(int(shard), "POST", "/api/v1/advisor/apply",
-                           query, user, body)
+                           user, body)
 
     # -- aggregate endpoints ---------------------------------------------------
 
-    def _runtime_stats(self):
+    def _runtime_stats(self, user, body):
         shards = {}
         for handle in self.coordinator.handles:
             if not handle.alive:
@@ -463,12 +370,12 @@ class ClusterApp(object):
             for entry in entries[:top]
         ]
 
-    def _cluster_status(self):
+    def _cluster_status(self, user, body):
         payload = self.coordinator.status()
         payload["monitor"] = self.coordinator.monitor.stats()
         return 200, payload
 
-    def _health(self):
+    def _health(self, user, body):
         """Aggregate liveness: any dead/unresponsive shard degrades the
         whole cluster to 503 with an explicit ``shard_down`` reason."""
         down = self.coordinator.down_shards()
@@ -482,7 +389,7 @@ class ClusterApp(object):
             return 503, payload
         return (503 if payload["status"] == "degraded" else 200), payload
 
-    def _metrics(self):
+    def _metrics(self, user, body):
         """One Prometheus scrape for the whole cluster: the coordinator's
         own series verbatim, every live shard's series re-labeled with
         ``shard="<i>"`` (HELP/TYPE emitted once per family), and — so one

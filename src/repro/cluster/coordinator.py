@@ -24,17 +24,13 @@ import time
 from repro.cluster import protocol
 from repro.cluster.router import DatasetDirectory, shard_for_user
 from repro.cluster.worker import PORT_FILE
-from repro.errors import ReproError
+from repro.errors import ClusterError
 from repro.obs import events
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ContinuousMonitor
 from repro.obs.tracing import TraceContext
 
 READY_TIMEOUT = 60.0
-
-
-class ClusterError(ReproError):
-    """A shard is down or a cluster operation failed."""
 
 
 class WorkerHandle(object):
@@ -65,10 +61,10 @@ class ClusterCoordinator(object):
     """Spawn N workers, route frames to them, restart them when they die."""
 
     def __init__(self, shards, base_dir, scale=0.0, seed=42, ephemeral=False,
-                 partition=True, wal_sync="buffered", workers=4,
+                 wal_sync="buffered", workers=4,
                  checkpoint_every=0, statement_timeout=30.0,
                  monitor_interval=5.0, supervise_interval=1.0,
-                 call_timeout=60.0, events_enabled=True):
+                 call_timeout=60.0):
         if shards <= 0:
             raise ValueError("shard count must be positive, got %d" % shards)
         self.shards = shards
@@ -76,17 +72,14 @@ class ClusterCoordinator(object):
         self.scale = scale
         self.seed = seed
         self.ephemeral = ephemeral
-        self.partition = partition
         self.wal_sync = wal_sync
         self.workers = workers
         self.checkpoint_every = checkpoint_every
         self.statement_timeout = statement_timeout
         self.supervise_interval = supervise_interval
         self.call_timeout = call_timeout
-        #: Structured event logs: the coordinator's own (configured at
-        #: start) and each worker's (they configure theirs).  Disabled
-        #: as one unit — the uninstrumented benchmark baseline.
-        self.events_enabled = events_enabled
+        #: The coordinator's structured event log (configured at start);
+        #: each worker configures its own.
         self.events = None
         self.handles = [WorkerHandle(index) for index in range(shards)]
         self.directory = DatasetDirectory()
@@ -119,7 +112,7 @@ class ClusterCoordinator(object):
         # op / respawn lines); each worker configures its own in main().
         self.events = events.configure(
             path=os.path.join(self.base_dir, events.EVENTS_FILE),
-            process="coordinator", enabled=self.events_enabled)
+            process="coordinator")
         self.started_at = time.time()
         for handle in self.handles:
             self._spawn(handle)
@@ -147,10 +140,6 @@ class ClusterCoordinator(object):
         ]
         if self.ephemeral:
             argv.append("--ephemeral")
-        if not self.partition:
-            argv.append("--no-partition")
-        if not self.events_enabled:
-            argv.append("--no-events")
         return argv
 
     def _spawn(self, handle):

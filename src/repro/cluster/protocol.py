@@ -6,11 +6,10 @@ snapshot/WAL layer uses (:mod:`repro.storage.serialize`), so datetimes and
 decimals inside result rows survive the hop between processes unchanged.
 
 The protocol is strictly request/response per frame and a connection may
-carry any number of requests, which is what the bench's persistent
-per-thread connections and the coordinator's pooled connection both rely
-on.  Frames are capped at :data:`MAX_FRAME_BYTES` — a malformed or
-runaway peer fails fast instead of making the receiver allocate
-gigabytes.
+carry any number of requests, which is what the coordinator's pooled
+per-shard connection relies on.  Frames are capped at
+:data:`MAX_FRAME_BYTES` — a malformed or runaway peer fails fast
+instead of making the receiver allocate gigabytes.
 
 Distributed tracing rides in-band: a request frame may carry a
 ``"trace"`` key (``{"id": ..., "parent": <span id>, "sampled": bool}``,
@@ -117,8 +116,7 @@ class ShardConnection(object):
     """One persistent client connection to a worker's protocol socket.
 
     Not thread-safe by itself; the coordinator guards its pooled
-    connection with a lock and the bench gives each driver thread its own
-    connections.
+    connection with a lock.
     """
 
     def __init__(self, port, host="127.0.0.1", timeout=30.0):

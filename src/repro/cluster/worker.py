@@ -17,9 +17,6 @@ Operations (one JSON frame each):
 ``http``             proxy one REST request through the worker's own
                      WSGI app — the generic op the coordinator uses for
                      the whole existing surface.
-``run``              submit-and-wait one interactive query; returns
-                     columns+rows in the same frame (the bench and
-                     cross-shard hot path).
 ``fetch_dataset``    permission-checked full read of one dataset, with
                      schema and sharing metadata (cross-shard step 1).
 ``install_replica``  install a fetched dataset as a local, non-durable
@@ -50,7 +47,6 @@ from repro.errors import DatasetError, ReproError
 from repro.obs import events
 from repro.obs.tracing import Trace
 from repro.runtime import RuntimeConfig, QueryRuntime
-from repro.runtime import job as jobmod
 from repro.server.client import _WSGITransport
 from repro.server.rest import SQLShareApp
 
@@ -122,10 +118,6 @@ class WorkerServer(object):
         self.transport = _WSGITransport(app)
         self._listener = None
         self._stop = threading.Event()
-        #: Per-connection-thread trace state (context, fragment, op span
-        #: id) so handlers like ``_op_run`` can pick up the propagated
-        #: context without threading it through every signature.
-        self._tls = threading.local()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -178,25 +170,13 @@ class WorkerServer(object):
         # Traced frame: record this op into a fragment rooted at the
         # propagated context and ship the fragment back in the reply.
         fragment = Trace(context.trace_id, parent=context.parent)
-        op_span = fragment.new_span_id()
-        tls = self._tls
-        tls.context, tls.fragment, tls.op_span = context, fragment, op_span
         started = time.monotonic()
-        try:
-            with fragment.span("op:%s" % op, span_id=op_span,
-                               shard=self.shard):
-                reply = self._dispatch(op, message)
-        finally:
-            tls.context = tls.fragment = tls.op_span = None
-        if op != "run":
-            # Every traced op logs its shard-side line — except "run",
-            # whose lifecycle the runtime already logs (submit/finish
-            # with the same trace id); doubling those up would cost a
-            # second write on the hottest path for no extra correlation.
-            events.emit("shard_op", trace_id=context.trace_id, op=op,
-                        ok=bool(reply.get("ok", False))
-                        if isinstance(reply, dict) else None,
-                        ms=round((time.monotonic() - started) * 1000.0, 3))
+        with fragment.span("op:%s" % op, shard=self.shard):
+            reply = self._dispatch(op, message)
+        events.emit("shard_op", trace_id=context.trace_id, op=op,
+                    ok=bool(reply.get("ok", False))
+                    if isinstance(reply, dict) else None,
+                    ms=round((time.monotonic() - started) * 1000.0, 3))
         if isinstance(reply, dict):
             reply = dict(reply)
             reply[protocol.TRACE_KEY] = fragment.to_dict()
@@ -223,8 +203,8 @@ class WorkerServer(object):
         if message.get("user") is not None:
             headers["X-SQLShare-User"] = message["user"]
         body = message.get("body")
-        context = getattr(self._tls, "context", None)
-        if context is not None and isinstance(body, dict):
+        context = protocol.extract_trace(message)
+        if context is not None and context.sampled and isinstance(body, dict):
             # Propagate into the REST layer: submit bodies honour a
             # "trace" key, so proxied submits join the cluster trace.
             body = dict(body)
@@ -232,33 +212,6 @@ class WorkerServer(object):
         status, payload = self.transport.request(
             message.get("method", "GET"), message["path"], headers, body)
         return {"ok": True, "status": status, "payload": payload}
-
-    def _op_run(self, message):
-        """Submit one interactive query inline and return its full result
-        in this frame — the single-round-trip hot path."""
-        tls = self._tls
-        job = self.runtime.submit(
-            message["user"], message["sql"], source="rest", inline=True,
-            cross_shard=bool(message.get("cross_shard", False)),
-            trace_context=getattr(tls, "context", None))
-        fragment = getattr(tls, "fragment", None)
-        if fragment is not None and job.trace is not None:
-            # Fold the query-lifecycle spans under this op's span; ids are
-            # namespaced by job id so two runs in one trace stay distinct.
-            fragment.adopt(job.trace,
-                           parent=getattr(tls, "op_span", None),
-                           prefix=job.job_id)
-        if job.state != jobmod.SUCCEEDED:
-            return {"ok": False, "state": job.state, "error": job.error,
-                    "error_type": job.error_class or "runtime"}
-        result = job.result
-        return {
-            "ok": True,
-            "state": job.state,
-            "columns": result.columns,
-            "rows": [list(row) for row in result.rows],
-            "cache_hit": job.cache_hit,
-        }
 
     def _op_fetch_dataset(self, message):
         user, name = message["user"], message["name"]
@@ -326,7 +279,7 @@ class WorkerServer(object):
 def build_platform(args):
     """Recover-or-generate this shard's platform, mirroring single-node
     ``repro serve``: an existing data directory wins; otherwise generate
-    (optionally partition-filtered) and checkpoint, or start empty."""
+    (filtered to this shard's users) and checkpoint, or start empty."""
     manager = None
     if args.ephemeral:
         if args.scale > 0:
@@ -334,8 +287,7 @@ def build_platform(args):
 
             platform, _generator = build_sqlshare_deployment(
                 scale=args.scale, seed=args.seed)
-            if args.partition:
-                filter_to_shard(platform, args.shard_index, args.shards)
+            filter_to_shard(platform, args.shard_index, args.shards)
         else:
             platform = SQLShare()
         return platform, manager
@@ -351,8 +303,7 @@ def build_platform(args):
 
         platform, _generator = build_sqlshare_deployment(
             scale=args.scale, seed=args.seed)
-        if args.partition:
-            filter_to_shard(platform, args.shard_index, args.shards)
+        filter_to_shard(platform, args.shard_index, args.shards)
         manager.adopt(platform)
     else:
         platform = manager.attach(SQLShare())
@@ -376,19 +327,10 @@ def build_arg_parser():
                         help="interactive worker threads per shard")
     parser.add_argument("--statement-timeout", type=float, default=30.0)
     parser.add_argument("--ephemeral", action="store_true",
-                        help="no WAL/snapshots (bench mode)")
-    parser.add_argument("--no-partition", dest="partition",
-                        action="store_false", default=True,
-                        help="keep the full generated deployment on this "
-                             "shard instead of filtering to its users "
-                             "(bench mode)")
+                        help="no WAL/snapshots")
     parser.add_argument("--monitor", action="store_true",
                         help="run the continuous monitor on this shard")
     parser.add_argument("--monitor-interval", type=float, default=5.0)
-    parser.add_argument("--no-events", dest="events", action="store_false",
-                        default=True,
-                        help="disable the structured event log (the "
-                             "uninstrumented bench baseline)")
     return parser
 
 
@@ -399,15 +341,13 @@ def main(argv=None):
     # shard directory, every line stamped with the shard's lane label.
     events.configure(
         path=os.path.join(args.shard_dir, events.EVENTS_FILE),
-        process="shard%d" % args.shard_index, shard=args.shard_index,
-        enabled=args.events)
+        process="shard%d" % args.shard_index, shard=args.shard_index)
     platform, manager = build_platform(args)
     runtime = QueryRuntime(platform, RuntimeConfig(
         max_workers=args.workers,
         statement_timeout=args.statement_timeout,
         monitor_enabled=args.monitor,
         monitor_interval=args.monitor_interval,
-        events_enabled=args.events,
     ))
     app = SQLShareApp(platform=platform, runtime=runtime)
     # Long-lived service: flag statically suspect plans but keep serving.

@@ -231,6 +231,10 @@ class DatasetError(ReproError):
     """Invalid dataset operation (unknown dataset, bad append, name clash)."""
 
 
+class ClusterError(ReproError):
+    """A shard is down or a cluster operation failed."""
+
+
 #: Error taxonomy used by the metrics registry and the query log: every
 #: failure is counted under exactly one of these classes, so error rates
 #: can be reported per class (and per user archetype) from runtime data.

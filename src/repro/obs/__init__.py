@@ -26,8 +26,10 @@ records what actually happened when those plans run under the
 
 Everything here is built to be always-cheap: registry updates are O(1),
 tracing appends a handful of spans per query, and operator wrapping only
-happens when profiling is explicitly requested
-(``benchmarks/bench_obs_overhead.py`` enforces the overhead contract).
+happens when profiling is explicitly requested.  The repo benchmark
+(``benchmarks/e2e``) runs with all of it on, so its cost is inside every
+end-to-end number; ``run.py --trace 1`` reports the traced throughput
+beside it.
 """
 
 from repro.obs.alerts import AlertManager, AlertRule, default_rules

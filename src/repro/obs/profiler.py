@@ -11,7 +11,7 @@ Sort do their work), per-``next()`` time, and the final exhausting call
 (close).
 
 Wrapping is strictly opt-in: an unprofiled execution touches none of this
-code, which is how the overhead contract (bench_obs_overhead.py) holds.
+code, so unprofiled queries pay nothing for it.
 Wrappers are installed as instance attributes and removed afterwards, so a
 plan object survives profiling unchanged.
 

@@ -261,40 +261,6 @@ class Trace(object):
             self._spans.extend(added)
         return len(added)
 
-    def adopt(self, other, parent=None, prefix=None):
-        """Fold another *local* Trace's spans in without the dict
-        round-trip — the hot in-process fold on the worker run path,
-        where serializing the job trace only to re-parse it costs more
-        than the query.  Semantics match :meth:`add_remote`: offsets
-        re-based through the epoch origins, ids (and intra-trace parent
-        references) namespaced as ``<prefix>:<id>``, orphan spans
-        parented under ``parent`` (un-namespaced).  Returns the number
-        of spans added."""
-        offset = other.origin_epoch - self.origin_epoch
-        default_parent = parent or other.parent
-        with other._lock:
-            source = list(other._spans)
-        added = []
-        for span in source:
-            span_id, parent_id = span.span_id, span.parent_id
-            added.append(Span(
-                span.name,
-                span.start + offset,
-                span.end + offset,
-                thread_id=span.thread_id,
-                thread_name=span.thread_name,
-                attrs=dict(span.attrs) if span.attrs else None,
-                process=span.process,
-                span_id=("%s:%s" % (prefix, span_id)
-                         if span_id is not None and prefix else span_id),
-                parent_id=("%s:%s" % (prefix, parent_id)
-                           if parent_id is not None and prefix
-                           else (parent_id or default_parent)),
-            ))
-        with self._lock:
-            self._spans.extend(added)
-        return len(added)
-
     def snapshot(self):
         """A point-in-time copy sharing this trace's origin and span
         objects — the stitching endpoint folds remote fragments into the

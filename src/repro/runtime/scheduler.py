@@ -60,12 +60,10 @@ class RuntimeConfig(object):
         #: Record per-job lifecycle spans (queued / run / engine phases).
         self.tracing_enabled = tracing_enabled
         #: Register scheduler/cache/engine instruments on the platform's
-        #: metrics registry.  Disabling swaps in a NullRegistry — the
-        #: uninstrumented baseline the overhead benchmark compares against.
+        #: metrics registry.  Disabling swaps in a NullRegistry.
         self.metrics_enabled = metrics_enabled
         #: Record per-fingerprint runtime history (Query Store) from job
-        #: completions.  Follows metrics_enabled: the uninstrumented
-        #: baseline must not pay for it either.
+        #: completions.  Follows metrics_enabled.
         self.querystore_enabled = querystore_enabled
         #: Run the continuous monitor (metrics sampler + alert rules).
         #: Off by default for library use; ``repro serve`` turns it on.
@@ -77,8 +75,7 @@ class RuntimeConfig(object):
         self.histogram_max_seconds = histogram_max_seconds
         #: Emit structured lifecycle events (submit / cache hit-miss /
         #: finish) into the process event log (repro.obs.events).  None
-        #: follows metrics_enabled, so the uninstrumented benchmark
-        #: baseline pays for neither.
+        #: follows metrics_enabled.
         self.events_enabled = (metrics_enabled if events_enabled is None
                                else events_enabled)
         #: Close the observation -> planning loop (repro.adaptive): harvest
@@ -126,8 +123,7 @@ class QueryRuntime(object):
         # the engine's phase histograms and run_query's failure taxonomy
         # share it; a runtime configured with metrics_enabled=False swaps
         # in a NullRegistry (every instrument call a no-op) and detaches
-        # the engine's histograms, giving the benchmark a true
-        # uninstrumented baseline.
+        # the engine's histograms.
         if self.config.metrics_enabled:
             registry = getattr(platform, "metrics", None)
             if registry is None or isinstance(registry, NullRegistry):
@@ -147,8 +143,7 @@ class QueryRuntime(object):
         # (like the result cache) so checkpoints can persist it and a
         # successor runtime inherits the accumulated baselines; the monitor
         # (sampler + alerts) belongs to this runtime and follows its
-        # lifecycle.  Both follow metrics_enabled so the uninstrumented
-        # benchmark baseline pays for neither.
+        # lifecycle.  Both follow metrics_enabled.
         if self.config.querystore_enabled and self.config.metrics_enabled:
             store = getattr(platform, "query_store", None)
             if store is None:

@@ -22,6 +22,10 @@ payload.
 
 Authentication is a trusted ``X-SQLShare-User`` header (the deployed system
 used university SSO; the identity plumbing is identical downstream).
+
+The route table, the WSGI shell and the error mapping here are the only
+ones: the cluster's coordinator (:class:`repro.cluster.app.ClusterApp`)
+subclasses :class:`SQLShareApp` and replaces handlers, not the shell.
 """
 
 import json
@@ -32,25 +36,32 @@ from urllib.parse import parse_qsl as _parse_qsl
 from repro.core.sqlshare import SQLShare
 from repro.errors import (
     AdmissionError,
+    ClusterError,
     DatasetError,
-    IngestError,
     PermissionError_,
     QuotaError,
     ReproError,
-    SQLError,
 )
 from repro.obs import events as events_mod
 from repro.obs.tracing import TraceContext
 from repro.runtime import QueryRuntime, RuntimeConfig
 
+#: (method, compiled pattern, path template, handler name, auth), in
+#: declaration order.  Each app class binds the rows to its own handlers
+#: by name (:meth:`SQLShareApp._bind_routes`).
 _ROUTES = []
 
+_PARAM = re.compile(r"\{(\w+)\}")
 
-def route(method, pattern, auth=True):
-    compiled = re.compile("^%s$" % pattern)
+
+def route(method, template, auth=True):
+    """Register the decorated handler for ``method`` on ``template``; each
+    ``{param}`` matches one path segment and reaches the handler as a
+    keyword argument."""
+    pattern = re.compile("^%s$" % _PARAM.sub(r"(?P<\1>[^/]+)", template))
 
     def decorator(func):
-        _ROUTES.append((method, compiled, func, auth))
+        _ROUTES.append((method, pattern, template, func.__name__, auth))
         return func
 
     return decorator
@@ -74,12 +85,63 @@ _STATUS_TEXT = {
     405: "405 Method Not Allowed",
     409: "409 Conflict",
     429: "429 Too Many Requests",
+    500: "500 Internal Server Error",
     503: "503 Service Unavailable",
 }
+
+#: Exception class -> HTTP status, most specific first.  The one mapping
+#: for failures raised in this process and for the ``error_type`` names a
+#: shard reports (see :func:`error_status`).
+_ERROR_STATUS = (
+    (PermissionError_, 403),
+    (QuotaError, 403),
+    (DatasetError, 409),  # 404 when the dataset does not exist
+    (ClusterError, 503),
+    (ReproError, 400),
+)
+
+
+def error_status(error_class, message):
+    """The HTTP status for a failure of ``error_class`` with ``message``;
+    500 for anything outside the package's error hierarchy."""
+    for cls, status in _ERROR_STATUS:
+        if issubclass(error_class, cls):
+            if cls is DatasetError and "no dataset" in message:
+                return 404
+            return status
+    return 500
+
+
+def error_class(name):
+    """The package exception class called ``name`` — how a failure a shard
+    reports as ``type(exc).__name__`` maps back onto :data:`_ERROR_STATUS`
+    (``Exception`` for a name outside the hierarchy)."""
+    pending = [ReproError]
+    while pending:
+        cls = pending.pop()
+        if cls.__name__ == name:
+            return cls
+        pending.extend(cls.__subclasses__())
+    return Exception
 
 
 class SQLShareApp(object):
     """WSGI application wrapping one SQLShare platform instance."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._routes = cls._bind_routes()
+
+    @classmethod
+    def _bind_routes(cls):
+        """The route table with every row bound to this class's handler."""
+        return [(method, pattern, cls._route_handler(method, template, name),
+                 auth)
+                for method, pattern, template, name, auth in _ROUTES]
+
+    @classmethod
+    def _route_handler(cls, method, template, name):
+        return getattr(cls, name)
 
     def __init__(self, platform=None, run_async=True, runtime=None,
                  runtime_config=None):
@@ -118,16 +180,11 @@ class SQLShareApp(object):
                 status, payload = response
         except _HTTPError as exc:
             status, payload = exc.status, {"error": exc.message}
-        except PermissionError_ as exc:
-            status, payload = 403, {"error": str(exc)}
-        except DatasetError as exc:
-            status, payload = 404 if "no dataset" in str(exc) else 409, {"error": str(exc)}
-        except QuotaError as exc:
-            status, payload = 403, {"error": str(exc)}
-        except (SQLError, IngestError) as exc:
-            status, payload = 400, {"error": str(exc)}
         except ReproError as exc:
-            status, payload = 400, {"error": str(exc)}
+            status = error_status(type(exc), str(exc))
+            payload = {"error": str(exc)}
+            if isinstance(exc, ClusterError):
+                payload["reason"] = "shard_down"
         if content_type == "application/json":
             data = json.dumps(payload, default=str).encode("utf-8")
         else:
@@ -155,7 +212,7 @@ class SQLShareApp(object):
             raise _HTTPError(400, "request body is not valid JSON")
 
     def _dispatch(self, method, path, user, body):
-        for route_method, pattern, handler, auth in _ROUTES:
+        for route_method, pattern, handler, auth in self._routes:
             if route_method != method:
                 continue
             match = pattern.match(path)
@@ -163,7 +220,7 @@ class SQLShareApp(object):
                 if auth and user is None:
                     raise _HTTPError(401, "missing X-SQLShare-User header")
                 return handler(self, user, body, **match.groupdict())
-        for route_method, pattern, _handler, _auth in _ROUTES:
+        for route_method, pattern, _handler, _auth in self._routes:
             if pattern.match(path):
                 raise _HTTPError(405, "method %s not allowed on %s" % (method, path))
         raise _HTTPError(404, "no such endpoint: %s" % path)
@@ -202,7 +259,7 @@ class SQLShareApp(object):
         )
         return 201, {"dataset": self._dataset_info(dataset)}
 
-    @route("GET", "/api/v1/dataset/(?P<name>[^/]+)")
+    @route("GET", "/api/v1/dataset/{name}")
     def get_dataset(self, user, body, name):
         self.platform.permissions.check_access(user, name)
         dataset = self.platform.dataset(name)
@@ -214,18 +271,18 @@ class SQLShareApp(object):
         info["provenance"] = self.platform.views.provenance(name)
         return 200, info
 
-    @route("DELETE", "/api/v1/dataset/(?P<name>[^/]+)")
+    @route("DELETE", "/api/v1/dataset/{name}")
     def delete_dataset(self, user, body, name):
         self.platform.delete_dataset(user, name)
         return 200, {"deleted": name}
 
-    @route("POST", "/api/v1/dataset/(?P<name>[^/]+)/append")
+    @route("POST", "/api/v1/dataset/{name}/append")
     def append(self, user, body, name):
         data = _require(body, "data")
         dataset = self.platform.append(user, name, data)
         return 200, {"dataset": self._dataset_info(dataset)}
 
-    @route("PUT", "/api/v1/dataset/(?P<name>[^/]+)/permissions")
+    @route("PUT", "/api/v1/dataset/{name}/permissions")
     def set_permissions(self, user, body, name):
         if body.get("public") is True:
             self.platform.make_public(user, name)
@@ -289,12 +346,12 @@ class SQLShareApp(object):
                 else [violation.to_dict() for violation in violations])
         return 200, payload
 
-    @route("GET", "/api/v1/query/(?P<query_id>[^/]+)")
+    @route("GET", "/api/v1/query/{query_id}")
     def query_status(self, user, body, query_id):
         job = self._get_query(user, query_id)
         return 200, job.to_dict()
 
-    @route("GET", "/api/v1/query/(?P<query_id>[^/]+)/results")
+    @route("GET", "/api/v1/query/{query_id}/results")
     def query_results(self, user, body, query_id):
         job = self._get_query(user, query_id)
         status = job.protocol_status
@@ -321,7 +378,7 @@ class SQLShareApp(object):
             payload["profile"] = job.profile_data.to_dict()
         return 200, payload
 
-    @route("DELETE", "/api/v1/query/(?P<query_id>[^/]+)")
+    @route("DELETE", "/api/v1/query/{query_id}")
     def cancel_query(self, user, body, query_id):
         self._get_query(user, query_id)  # ownership check
         job = self.runtime.cancel(query_id)
@@ -351,7 +408,7 @@ class SQLShareApp(object):
                    for record in self.platform.batch_journal.for_user(user)]
         return 200, {"batches": batches}
 
-    @route("GET", "/api/v1/batch/(?P<batch_id>[^/]+)")
+    @route("GET", "/api/v1/batch/{batch_id}")
     def batch_status(self, user, body, batch_id):
         """Poll one batch: state, queue position, ETA, result dataset."""
         status = self.runtime.batch.status(batch_id)
@@ -380,7 +437,7 @@ class SQLShareApp(object):
         text = self.platform.metrics.render_prometheus()
         return 200, text, "text/plain; version=0.0.4; charset=utf-8"
 
-    @route("GET", "/api/v1/query/(?P<query_id>[^/]+)/trace")
+    @route("GET", "/api/v1/query/{query_id}/trace")
     def query_trace(self, user, body, query_id):
         job = self._get_query(user, query_id)
         if job.trace is None:
@@ -440,7 +497,7 @@ class SQLShareApp(object):
             regressions_only=_truthy(body.get("regressions")),
         )
 
-    @route("GET", "/api/v1/querystore/(?P<fingerprint>[0-9a-f]+)")
+    @route("GET", "/api/v1/querystore/{fingerprint}")
     def querystore_entry(self, user, body, fingerprint):
         store = getattr(self.runtime, "query_store", None)
         if store is None:
@@ -452,7 +509,7 @@ class SQLShareApp(object):
 
     # -- advisor endpoints (repro.adaptive.advisor) -----------------------------------------
 
-    def _advisor(self):
+    def _workload_advisor(self):
         from repro.adaptive import WorkloadAdvisor
 
         store = getattr(self.runtime, "query_store", None)
@@ -468,7 +525,7 @@ class SQLShareApp(object):
         frequency floor."""
         limit = body.get("limit")
         min_executions = body.get("min_executions")
-        payload = self._advisor().recommendations(
+        payload = self._workload_advisor().recommendations(
             top=int(limit) if limit is not None else 10,
             min_executions=(int(min_executions)
                             if min_executions is not None else 2))
@@ -490,7 +547,7 @@ class SQLShareApp(object):
                 "dataset": _require(body, "dataset"),
                 "column": body.get("column"),
             }
-        outcome = self._advisor().apply(
+        outcome = self._workload_advisor().apply(
             recommendation, owner=user, dry_run=_truthy(body.get("dry_run")))
         return 200, outcome
 
@@ -509,6 +566,12 @@ class SQLShareApp(object):
         payload = monitor.health()
         payload["monitoring"] = True
         return (503 if payload["status"] == "degraded" else 200), payload
+
+    @route("GET", "/api/v1/cluster/status", auth=False)
+    def cluster_status(self, user, body):
+        """Shard topology and supervision state — a coordinator's answer
+        (:class:`repro.cluster.app.ClusterApp`); one node has no shards."""
+        raise _HTTPError(404, "not a cluster: this server runs no shards")
 
     def _get_query(self, user, query_id):
         job = self.runtime.get(query_id)
@@ -533,6 +596,9 @@ class SQLShareApp(object):
             "derived_from": dataset.derived_from,
             "doi": dataset.doi,
         }
+
+
+SQLShareApp._routes = SQLShareApp._bind_routes()
 
 
 def _require(body, key):

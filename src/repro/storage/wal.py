@@ -21,8 +21,9 @@ Two durability modes:
 - ``"buffered"`` — ``write`` + ``flush``: bytes reach the OS page cache,
   so they survive the *process* dying (SIGKILL) but not the machine;
 - ``"fsync"`` — additionally ``os.fsync`` per append: survives power loss
-  at a large per-commit latency cost (measured by
-  ``benchmarks/bench_wal_overhead.py``).
+  at a large per-commit latency cost.  The repo benchmark runs
+  ``buffered``; its ``ingest_durable`` workload reports the WAL's cost
+  (``storage.wal.*``).
 """
 
 import json

@@ -7,7 +7,6 @@ same internal ratios — see EXPERIMENTS.md).
 """
 
 import os
-import time
 
 from repro.synth.sdss_workload import SDSSWorkloadGenerator
 from repro.synth.sqlshare_workload import SQLShareWorkloadGenerator
@@ -42,7 +41,7 @@ def build_sdss_workload(scale=None, seed=7):
     return workload, generator
 
 
-# -- workload replay through the query runtime --------------------------------
+# -- replayable workload ------------------------------------------------------
 
 
 def replayable_queries(platform, limit=None):
@@ -68,94 +67,3 @@ def replayable_queries(platform, limit=None):
         if limit is not None and len(pairs) >= limit:
             break
     return pairs
-
-
-def replay_workload(platform, queries, workers=0, runtime=None,
-                    statement_timeout=30.0, cache_enabled=True,
-                    cache_entries=None, cache_max_rows=2000000,
-                    profile=False, metrics_enabled=True,
-                    tracing_enabled=True, adaptive_enabled=True):
-    """Re-run ``queries`` (``(user, sql)`` pairs) through a QueryRuntime.
-
-    ``workers=0`` executes serially inline in the calling thread;
-    ``workers>0`` submits everything to a bounded worker pool and drains.
-    Returns a stats dict (qps, outcome counts, cache counters) plus the
-    runtime used, so callers can rerun against a warm cache.
-
-    Outcome and cache-hit counts come from the metrics registry — deltas
-    of the scheduler's own counters over the replay — rather than a second
-    per-job tally here (``metrics_enabled=False`` falls back to counting
-    jobs directly; that is the overhead benchmark's uninstrumented
-    baseline).  ``profile=True`` turns on per-operator profiling for every
-    replayed query.  ``adaptive_enabled=False`` turns the cardinality
-    feedback loop off — experiments that *plant* a bad plan (the
-    regression analysis) need it to stay planted.
-    """
-    from repro.runtime import QueryRuntime, RuntimeConfig, TERMINAL_STATES
-
-    if runtime is None:
-        config = RuntimeConfig(
-            max_workers=workers,
-            # Replay is a batch: admission control would only throttle the
-            # driver itself, so the queue is effectively unbounded and each
-            # user may occupy several workers.
-            per_user_queue_depth=len(queries) + 1,
-            per_user_max_concurrent=max(1, workers),
-            statement_timeout=statement_timeout,
-            cache_enabled=cache_enabled,
-            # Size the cache to the workload: an LRU smaller than the
-            # replay set thrashes and a warm rerun never hits; the row cap
-            # is raised because the handful of giant-result queries are
-            # exactly the ones worth not re-executing.
-            cache_entries=cache_entries or max(1024, 2 * len(queries)),
-            cache_max_rows=cache_max_rows,
-            metrics_enabled=metrics_enabled,
-            tracing_enabled=tracing_enabled,
-            adaptive_enabled=adaptive_enabled,
-        )
-        runtime = QueryRuntime(platform, config)
-    else:
-        # An existing runtime dictates the mode: queueing work at a pool
-        # with no workers would make drain() block forever.
-        workers = runtime.config.max_workers
-    before = platform.metrics.snapshot()
-    jobs = []
-    start = time.perf_counter()
-    if workers <= 0:
-        for user, sql in queries:
-            jobs.append(runtime.submit(user, sql, source="replay",
-                                       inline=True, profile=profile))
-    else:
-        for user, sql in queries:
-            jobs.append(runtime.submit(user, sql, source="replay",
-                                       inline=False, profile=profile))
-        runtime.drain(jobs)
-    elapsed = time.perf_counter() - start
-    if runtime.config.metrics_enabled:
-        # Single source of truth: this phase's outcomes/hits are deltas of
-        # the scheduler's and cache's own (cumulative) counters.
-        after = platform.metrics.snapshot()
-        delta = lambda key: after.get(key, 0) - before.get(key, 0)  # noqa: E731
-        outcomes = {
-            state: int(delta(
-                'repro_scheduler_jobs_finished_total{outcome="%s"}' % state))
-            for state in TERMINAL_STATES
-        }
-        cache_hits = int(delta("repro_cache_hits_total"))
-    else:
-        outcomes = {state: 0 for state in TERMINAL_STATES}
-        cache_hits = 0
-        for job in jobs:
-            outcomes[job.state] = outcomes.get(job.state, 0) + 1
-            if job.cache_hit:
-                cache_hits += 1
-    stats = {
-        "queries": len(jobs),
-        "workers": workers,
-        "elapsed_seconds": round(elapsed, 6),
-        "qps": round(len(jobs) / elapsed, 3) if elapsed else float("inf"),
-        "outcomes": outcomes,
-        "cache_hits": cache_hits,
-        "cache": runtime.cache.stats.to_dict() if runtime.cache else None,
-    }
-    return stats, runtime

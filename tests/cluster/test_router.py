@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.router import DatasetDirectory, shard_for_user
+from repro.errors import PermissionError_
 
 
 class TestShardForUser:
@@ -96,7 +97,8 @@ class _RecordingCoordinator(object):
     def call(self, shard, message, trace=None):
         self.calls.append((shard, message["op"]))
         if message["op"] == "fetch_dataset":
-            return {"ok": False, "error_type": "PermissionError",
+            return {"ok": False,
+                    "error_type": type(PermissionError_("x")).__name__,
                     "error": "no access"}
         return {"ok": True, "status": 202, "payload": {"id": "q000001"}}
 

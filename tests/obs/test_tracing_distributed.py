@@ -100,32 +100,6 @@ def test_add_remote_garbage_is_harmless():
     assert trace.spans() == []
 
 
-def test_adopt_matches_add_remote_semantics():
-    job = Trace("t1")
-    op_id = job.new_span_id()
-    job.add_span("op:run", job.origin + 0.001, job.origin + 0.010,
-                 span_id=op_id)
-    job.add_span("execute", job.origin + 0.002, job.origin + 0.008,
-                 parent=op_id)
-    job.origin_epoch += 5.0  # simulate clock placement
-
-    trace = Trace("t1")
-    call_span = trace.new_span_id()
-    trace.add_span("call:run", trace.origin, trace.origin + 0.02,
-                   span_id=call_span)
-    assert trace.adopt(job, parent=call_span, prefix="q7") == 2
-    spans = {span.span_id: span for span in trace.spans()}
-    assert spans["q7:sp0"].parent_id == call_span
-    assert spans["q7:sp1"].parent_id == "q7:sp0"
-    # Offsets re-based through the epoch origins, same as add_remote.
-    assert 4.9 < spans["q7:sp0"].start < 5.2
-    # The adopted spans are copies: mutating them leaves the job trace
-    # untouched.
-    spans["q7:sp0"].attrs["truncated"] = True
-    assert all("truncated" not in (span.attrs or {})
-               for span in job.spans())
-
-
 def test_mark_process_truncated():
     trace = Trace("t1")
     trace.add_span("route", trace.origin, trace.origin + 0.001)

@@ -5,10 +5,11 @@ job-completion path (:meth:`AdaptiveController.after_job`):
 
 1. **Detect.**  Every successful uncached completion gets a free root
    q-error check: the plan's estimated output rows against the rows the
-   query actually returned.  When the error exceeds ``q_error_bound`` (or
-   the Query Store issues a regression verdict for the fingerprint), the
-   controller requests a *probe* and drops the fingerprint's cached
-   result+plan entry so nothing stale can be served meanwhile.
+   query actually returned.  When the error exceeds
+   ``DEFAULT_Q_ERROR_BOUND`` (or the Query Store issues a regression
+   verdict for the fingerprint), the controller requests a *probe* and
+   drops the fingerprint's cached result+plan entry so nothing stale can
+   be served meanwhile.
 2. **Probe.**  The next submission of the same fingerprint is upgraded to
    ``profile=True`` by the scheduler (profiled runs bypass the result
    cache, so actuals are real).  Its per-operator actual cardinalities are
@@ -32,7 +33,8 @@ structured ``regression`` event, which the default alert rule set and
 
 import threading
 
-from repro.obs.metrics import NullRegistry
+from repro.obs import events
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import q_error
 
 #: Root q-error above which a fingerprint is scheduled for a probe.
@@ -53,14 +55,11 @@ class AdaptiveController(object):
     swallowed rather than surfaced on the scheduler's completion path.
     """
 
-    def __init__(self, feedback, cache=None, query_store=None, metrics=None,
-                 q_error_bound=DEFAULT_Q_ERROR_BOUND, events_enabled=True):
+    def __init__(self, feedback, cache=None, query_store=None, metrics=None):
         self.feedback = feedback
         self.cache = cache
         self.query_store = query_store
-        self.metrics = metrics if metrics is not None else NullRegistry()
-        self.q_error_bound = float(q_error_bound)
-        self.events_enabled = events_enabled
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._pending = set()  # fingerprints awaiting a probe
         self._replans = {}  # fingerprint -> completed probe cycles
@@ -109,10 +108,10 @@ class AdaptiveController(object):
         plan = getattr(result, "plan", None)
         if plan is not None and self._may_replan(fingerprint):
             error = q_error(plan.est_rows, float(len(result.rows)))
-            if error > self.q_error_bound:
+            if error > DEFAULT_Q_ERROR_BOUND:
                 if self.request_probe(fingerprint, prepared.key):
-                    self._emit("probe", fingerprint=fingerprint,
-                               trigger="q_error", q_error=round(error, 2))
+                    events.emit("probe", fingerprint=fingerprint,
+                                trigger="q_error", q_error=round(error, 2))
         self._check_regression(prepared)
 
     def _absorb_probe(self, prepared, result, profile):
@@ -131,7 +130,7 @@ class AdaptiveController(object):
         self._replans_total.inc()
         if self.cache is not None:
             self.cache.forget(prepared.key)
-        self._emit("replan", fingerprint=fingerprint, sites=sites)
+        events.emit("replan", fingerprint=fingerprint, sites=sites)
 
     def request_probe(self, fingerprint, key):
         """Schedule a profiled probe for a fingerprint.
@@ -178,21 +177,14 @@ class AdaptiveController(object):
             if len(self._regression_seen) > 4096:
                 self._regression_seen.clear()
         self._regressions_total.inc()
-        self._emit("regression", fingerprint=fingerprint,
-                   slowdown=verdict["slowdown"],
-                   regressed_plan=verdict["regressed_plan"],
-                   baseline_plan=verdict["baseline_plan"],
-                   regressed_mean_seconds=verdict["regressed_mean_seconds"],
-                   baseline_mean_seconds=verdict["baseline_mean_seconds"])
+        events.emit("regression", fingerprint=fingerprint,
+                    slowdown=verdict["slowdown"],
+                    regressed_plan=verdict["regressed_plan"],
+                    baseline_plan=verdict["baseline_plan"],
+                    regressed_mean_seconds=verdict["regressed_mean_seconds"],
+                    baseline_mean_seconds=verdict["baseline_mean_seconds"])
         if self._may_replan(fingerprint):
             self.request_probe(fingerprint, prepared.key)
-
-    def _emit(self, event, **fields):
-        if not self.events_enabled:
-            return
-        from repro.obs import events
-
-        events.emit(event, **fields)
 
     # -- introspection ---------------------------------------------------------
 
@@ -203,6 +195,6 @@ class AdaptiveController(object):
                 "fingerprints_replanned": len(self._replans),
                 "replans": sum(self._replans.values()),
                 "regressions_seen": len(self._regression_seen),
-                "q_error_bound": self.q_error_bound,
+                "q_error_bound": DEFAULT_Q_ERROR_BOUND,
                 "max_replans": MAX_REPLANS,
             }

@@ -79,7 +79,7 @@ def build_flip_platform(rows=400):
     return platform
 
 
-def run_flip_experiment(rows=400, executions=8, q_error_bound=4.0):
+def run_flip_experiment(rows=400, executions=8):
     """Plant, detect, probe, re-plan; returns the full trail as a dict."""
     from repro.runtime import QueryRuntime, RuntimeConfig
 
@@ -88,7 +88,6 @@ def run_flip_experiment(rows=400, executions=8, q_error_bound=4.0):
         max_workers=0,
         cache_enabled=False,  # every execution must be real
         tracing_enabled=False,
-        adaptive_q_error_bound=q_error_bound,
     ))
     trail = []
     corrected_at = None

@@ -102,7 +102,6 @@ def _cmd_serve(args):
         max_workers=4,
         monitor_enabled=not args.no_monitor,
         monitor_interval=args.monitor_interval,
-        histogram_max_seconds=args.histogram_max or None,
     )
     server = serve(platform, host=args.host, port=args.port,
                    runtime_config=config)
@@ -653,9 +652,6 @@ def build_parser():
                        help="disable the continuous monitor (sampler + alerts)")
     serve.add_argument("--monitor-interval", type=float, default=5.0,
                        help="seconds between metrics samples (default 5)")
-    serve.add_argument("--histogram-max", type=float, default=0.0,
-                       help="extend latency histogram buckets up to this many "
-                            "seconds (default keeps the 10s ceiling)")
     serve.add_argument("--shards", type=int, default=1,
                        help="shard the deployment across this many worker "
                             "processes behind a coordinator (default 1 = "

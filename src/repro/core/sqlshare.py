@@ -58,8 +58,7 @@ class SQLShare(object):
         #: operation eagerly invalidates the changed dataset's dependents.
         self.result_cache = None
         #: Metrics registry shared by the platform, the engine and any
-        #: attached QueryRuntime (which may swap in a NullRegistry to
-        #: measure instrumentation overhead).
+        #: attached QueryRuntime.
         self.metrics = MetricsRegistry()
         self.db.metrics = self.metrics
         #: Serializes dataset mutations (upload/append/delete/...) and the

@@ -38,7 +38,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     buckets_up_to,
 )
 from repro.obs.monitor import ContinuousMonitor
@@ -62,7 +61,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSampler",
-    "NullRegistry",
     "QueryProfiler",
     "QueryStore",
     "Span",

@@ -73,8 +73,8 @@ class EventLog(object):
 
     def emit(self, event, trace_id=None, user=None, fingerprint=None,
              **fields):
-        """Record one event; returns the record dict (or None on a no-op
-        sink).  Never raises: the log is advisory by contract."""
+        """Record one event; returns the record dict.  Never raises: the
+        log is advisory by contract."""
         record = {
             "ts": round(
                 self._origin_epoch
@@ -175,26 +175,6 @@ class EventLog(object):
                 self._dirty = False
 
 
-class NullEventLog(object):
-    """Every emit a no-op — the uninstrumented baseline's sink."""
-
-    path = None
-    process = "null"
-    shard = None
-
-    def emit(self, event, **_fields):
-        return None
-
-    def recent(self, **_filters):
-        return []
-
-    def flush(self):
-        pass
-
-    def close(self):
-        pass
-
-
 # -- the per-process default sink ---------------------------------------------
 #
 # One process has one event log (a worker *is* a shard; the coordinator is
@@ -205,13 +185,11 @@ _default = EventLog()
 _default_lock = threading.Lock()
 
 
-def configure(path=None, process="local", shard=None, enabled=True,
-              **kwargs):
+def configure(path=None, process="local", shard=None, **kwargs):
     """Install this process's event sink (file-backed when ``path`` is
-    given, ring-only otherwise, inert when ``enabled=False``)."""
+    given, ring-only otherwise)."""
     global _default
-    log = (EventLog(path=path, process=process, shard=shard, **kwargs)
-           if enabled else NullEventLog())
+    log = EventLog(path=path, process=process, shard=shard, **kwargs)
     with _default_lock:
         previous, _default = _default, log
     previous.close()

@@ -14,9 +14,8 @@ them all as the Prometheus text exposition format (version 0.0.4), which
 ``GET /api/v1/metrics`` serves.  Registration is idempotent — asking for an
 existing name returns the existing instrument — so several components
 (scheduler, cache, engine) can share one registry without coordination.
-
-:class:`NullRegistry` is a no-op drop-in used to measure (and disable)
-instrumentation overhead; every update on its instruments is a pass.
+There is no "metrics off" mode: every platform owns one registry and every
+instrument is live.
 """
 
 import math
@@ -39,8 +38,8 @@ def buckets_up_to(max_seconds, base=DEFAULT_BUCKETS):
     ``DEFAULT_BUCKETS`` tops out at 10 s, which under-resolves queries that
     run up to a statement timeout of, say, 60 s — everything lands in +Inf.
     This returns the default ladder plus 10-25-50-style decades until the
-    last bound is >= ``max_seconds``, so registration sites (and ``repro
-    serve --histogram-max``) can match bucket resolution to the timeout.
+    last bound is >= ``max_seconds``; the query runtime calls it with its
+    statement timeout, so bucket resolution follows the timeout.
     """
     buckets = list(base)
     steps = (1.0, 2.5, 5.0)
@@ -406,10 +405,10 @@ class MetricsRegistry(object):
         self._instruments = OrderedDict()  # name -> instrument
         self._lock = threading.Lock()
         #: Bucket bounds used when a histogram is registered without
-        #: explicit ``buckets``.  Settable at construction or later (e.g.
-        #: ``repro serve --histogram-max``) — but only *before* the first
-        #: registration of a histogram takes effect for it, because
-        #: registration is idempotent by name.
+        #: explicit ``buckets``.  Settable at construction or later (the
+        #: query runtime sets it from its statement timeout) — but only
+        #: *before* the first registration of a histogram takes effect for
+        #: it, because registration is idempotent by name.
         self.default_buckets = (tuple(default_buckets)
                                 if default_buckets is not None else None)
 
@@ -501,80 +500,3 @@ class MetricsRegistry(object):
             for series, labels, value in instrument.samples():
                 flat["%s%s" % (series, _render_labels(labels))] = value
         return flat
-
-
-class _NullInstrument(object):
-    """Accepts every instrument method as a no-op (shared singleton)."""
-
-    def inc(self, amount=1.0):
-        pass
-
-    def dec(self, amount=1.0):
-        pass
-
-    def set(self, value):
-        pass
-
-    def set_function(self, fn):
-        pass
-
-    def observe(self, value):
-        pass
-
-    def labels(self, **labels):
-        return self
-
-    def value(self, **labels):
-        return 0.0
-
-    def quantile(self, q):
-        return 0.0
-
-    def quantiles(self):
-        return {}
-
-    def to_dict(self):
-        return {}
-
-    count = 0
-    sum = 0.0
-
-
-_NULL = _NullInstrument()
-
-
-class NullRegistry(object):
-    """API-compatible no-op registry: the uninstrumented baseline."""
-
-    default_buckets = None
-
-    def counter(self, name, help_text=""):
-        return _NULL
-
-    def gauge(self, name, help_text=""):
-        return _NULL
-
-    def histogram(self, name, help_text="", buckets=None,
-                  quantiles=DEFAULT_QUANTILES):
-        return _NULL
-
-    def gauge_callback(self, name, help_text, fn):
-        return _NULL
-
-    def counter_callback(self, name, help_text, fn):
-        return _NULL
-
-    def get(self, name):
-        return None
-
-    def unregister(self, name):
-        pass
-
-    def names(self):
-        return []
-
-    def render_prometheus(self):
-        return ""
-
-    def snapshot(self):
-        return {}

@@ -191,21 +191,8 @@ class Trace(object):
         try:
             yield payload
         finally:
-            span = Span(
-                name,
-                start - self.origin,
-                time.monotonic() - self.origin,
-                thread_id=threading.get_ident(),
-                thread_name=threading.current_thread().name,
-                attrs=payload or None,
-                span_id=span_id,
-                parent_id=parent,
-            )
-            with self._lock:
-                if span.span_id is None:
-                    span.span_id = "sp%d" % self._seq
-                    self._seq += 1
-                self._spans.append(span)
+            self.add_span(name, start, time.monotonic(), span_id=span_id,
+                          parent=parent, **payload)
 
     def add_remote(self, fragment, process, parent=None, truncated=False,
                    prefix=None):

@@ -23,7 +23,7 @@ from collections import OrderedDict, deque
 
 from repro.errors import AdmissionError, QueryCancelled, QueryTimeout, classify_error
 from repro.obs import events
-from repro.obs.metrics import MetricsRegistry, NullRegistry, buckets_up_to
+from repro.obs.metrics import buckets_up_to
 from repro.obs.monitor import ContinuousMonitor
 from repro.obs.querystore import QueryStore
 from repro.runtime import job as jobmod
@@ -40,12 +40,9 @@ class RuntimeConfig(object):
 
     def __init__(self, max_workers=4, per_user_max_concurrent=2,
                  per_user_queue_depth=16, statement_timeout=30.0,
-                 cache_enabled=True, cache_entries=256,
-                 cache_max_rows=50000, tracing_enabled=True,
-                 metrics_enabled=True, querystore_enabled=True,
+                 cache_enabled=True, tracing_enabled=True,
                  monitor_enabled=False, monitor_interval=5.0,
-                 histogram_max_seconds=None, events_enabled=None,
-                 adaptive_enabled=True, adaptive_q_error_bound=4.0):
+                 adaptive_enabled=True):
         #: Worker threads.  0 means no threads are ever spawned: submissions
         #: run inline in the caller (the tests' synchronous mode) or wait in
         #: the queue for explicit :meth:`QueryRuntime.step` calls.
@@ -53,31 +50,16 @@ class RuntimeConfig(object):
         self.per_user_max_concurrent = per_user_max_concurrent
         self.per_user_queue_depth = per_user_queue_depth
         #: Seconds before a running statement times out (0/None disables).
+        #: The latency histograms' buckets reach up to it, so a query cut
+        #: off by the timeout lands in a real bucket rather than +Inf.
         self.statement_timeout = statement_timeout
         self.cache_enabled = cache_enabled
-        self.cache_entries = cache_entries
-        self.cache_max_rows = cache_max_rows
         #: Record per-job lifecycle spans (queued / run / engine phases).
         self.tracing_enabled = tracing_enabled
-        #: Register scheduler/cache/engine instruments on the platform's
-        #: metrics registry.  Disabling swaps in a NullRegistry.
-        self.metrics_enabled = metrics_enabled
-        #: Record per-fingerprint runtime history (Query Store) from job
-        #: completions.  Follows metrics_enabled.
-        self.querystore_enabled = querystore_enabled
         #: Run the continuous monitor (metrics sampler + alert rules).
         #: Off by default for library use; ``repro serve`` turns it on.
         self.monitor_enabled = monitor_enabled
         self.monitor_interval = monitor_interval
-        #: Extend histogram buckets up to this bound (seconds).  None keeps
-        #: DEFAULT_BUCKETS (tops out at 10 s — under-resolves statement-
-        #: timeout-bound queries when the timeout is raised).
-        self.histogram_max_seconds = histogram_max_seconds
-        #: Emit structured lifecycle events (submit / cache hit-miss /
-        #: finish) into the process event log (repro.obs.events).  None
-        #: follows metrics_enabled.
-        self.events_enabled = (metrics_enabled if events_enabled is None
-                               else events_enabled)
         #: Close the observation -> planning loop (repro.adaptive): harvest
         #: observed cardinalities from profiled runs, schedule probes when
         #: the root q-error exceeds the bound or the Query Store issues a
@@ -85,7 +67,6 @@ class RuntimeConfig(object):
         #: experiments that must show the *uncorrected* behavior (e.g.
         #: analysis/regressions.py plants a regression on purpose).
         self.adaptive_enabled = adaptive_enabled
-        self.adaptive_q_error_bound = adaptive_q_error_bound
 
     def to_dict(self):
         return dict(self.__dict__)
@@ -102,10 +83,7 @@ class QueryRuntime(object):
             # (platform.run_query) and the scheduler path hit the same
             # entries and the platform's mutators can invalidate eagerly.
             if getattr(platform, "result_cache", None) is None:
-                platform.result_cache = ResultCache(
-                    capacity=self.config.cache_entries,
-                    max_rows_per_entry=self.config.cache_max_rows,
-                )
+                platform.result_cache = ResultCache()
             self.cache = platform.result_cache
         else:
             self.cache = None
@@ -121,37 +99,20 @@ class QueryRuntime(object):
         self._shutdown = False
         # -- observability wiring.  The registry lives on the platform so
         # the engine's phase histograms and run_query's failure taxonomy
-        # share it; a runtime configured with metrics_enabled=False swaps
-        # in a NullRegistry (every instrument call a no-op) and detaches
-        # the engine's histograms.
-        if self.config.metrics_enabled:
-            registry = getattr(platform, "metrics", None)
-            if registry is None or isinstance(registry, NullRegistry):
-                registry = MetricsRegistry()
-            if self.config.histogram_max_seconds:
-                registry.default_buckets = buckets_up_to(
-                    self.config.histogram_max_seconds)
-            platform.metrics = registry
-            platform.db.metrics = registry
-            self.metrics = registry
-        else:
-            self.metrics = NullRegistry()
-            platform.metrics = self.metrics
-            platform.db.metrics = None
+        # share it.  Histograms registered from here on get buckets up to
+        # the statement timeout (DEFAULT_BUCKETS when there is none).
+        self.metrics = platform.metrics
+        self.metrics.default_buckets = buckets_up_to(
+            self.config.statement_timeout or 0.0)
         self._install_instruments()
         # -- continuous monitoring.  The Query Store lives on the platform
         # (like the result cache) so checkpoints can persist it and a
         # successor runtime inherits the accumulated baselines; the monitor
         # (sampler + alerts) belongs to this runtime and follows its
-        # lifecycle.  Both follow metrics_enabled.
-        if self.config.querystore_enabled and self.config.metrics_enabled:
-            store = getattr(platform, "query_store", None)
-            if store is None:
-                store = QueryStore()
-                platform.query_store = store
-            self.query_store = store
-        else:
-            self.query_store = None
+        # lifecycle.
+        self.query_store = getattr(platform, "query_store", None)
+        if self.query_store is None:
+            self.query_store = platform.query_store = QueryStore()
         # -- adaptive optimization (repro.adaptive).  The feedback store
         # lives on the platform (like the Query Store) so checkpoints can
         # persist it and a successor runtime inherits what was learned; it
@@ -169,14 +130,12 @@ class QueryRuntime(object):
             self.feedback_store = feedback
             self.adaptive = AdaptiveController(
                 feedback, cache=self.cache, query_store=self.query_store,
-                metrics=self.metrics,
-                q_error_bound=self.config.adaptive_q_error_bound,
-                events_enabled=self.config.events_enabled)
+                metrics=self.metrics)
         else:
             self.feedback_store = None
             self.adaptive = None
             platform.db.feedback = None
-        if self.config.monitor_enabled and self.config.metrics_enabled:
+        if self.config.monitor_enabled:
             self.monitor = ContinuousMonitor(
                 self.metrics, interval=self.config.monitor_interval)
             if self.config.max_workers > 0:
@@ -341,7 +300,9 @@ class QueryRuntime(object):
                                    findings=len(diagnostics))
             self._jobs[job.job_id] = job
             self._prune_terminal_locked()
-            if not inline:
+            if inline:
+                self._start_locked(job)
+            else:
                 queue = self._queues.get(user)
                 if queue is None:
                     queue = self._queues[user] = deque()
@@ -350,15 +311,14 @@ class QueryRuntime(object):
                 self._queued[user] = self._queued.get(user, 0) + 1
                 self._cond.notify()
         # Outside the scheduler lock: the event write may touch a file.
-        if self.config.events_enabled:
-            events.emit(
-                "submit",
-                trace_id=job.trace.trace_id if job.trace is not None else None,
-                user=user, fingerprint=prepared.fingerprint,
-                job_id=job.job_id, source=source,
-                cross_shard=cross_shard or None)
+        events.emit(
+            "submit",
+            trace_id=job.trace.trace_id if job.trace is not None else None,
+            user=user, fingerprint=prepared.fingerprint,
+            job_id=job.job_id, source=source,
+            cross_shard=cross_shard or None)
         if inline:
-            self._start_job(job)
+            self._run_job(job)
         else:
             self._ensure_workers()
         return job
@@ -376,32 +336,22 @@ class QueryRuntime(object):
         """
         with self._cond:
             job = self._jobs.get(job_id)
-            if job is None:
-                return None
-            if job.state == jobmod.QUEUED:
-                queue = self._queues.get(job.user)
-                if queue is not None and job in queue:
-                    queue.remove(job)
-                    self._queued[job.user] -= 1
-                    if not queue:
-                        del self._queues[job.user]
-                        self._rr.remove(job.user)
-                job.token.cancel(reason)
-                job.error_class = "cancelled"
-                job.transition(jobmod.CANCELLED, error=reason,
-                               before_notify=self._log_outcome)
-                self._finished[job.state] = self._finished.get(job.state, 0) + 1
-                # Queue cancellations never reach run_query, so count the
-                # terminal outcome (and taxonomy class) here.
-                self._jobs_finished.labels(outcome=job.state).inc()
-                self.metrics.counter(
-                    "repro_queries_failed_total",
-                    "Failed queries by error taxonomy class.",
-                ).labels(error_class="cancelled").inc()
-                self._record_querystore(job)
-            elif job.state == jobmod.RUNNING:
-                job.token.cancel(reason)
-            return job
+            if job is None or job.done:
+                return job
+            job.token.cancel(reason)
+            queue = self._queues.get(job.user)
+            dequeued = queue is not None and job in queue
+            if dequeued:
+                queue.remove(job)
+                self._queued[job.user] -= 1
+                if not queue:
+                    del self._queues[job.user]
+                    self._rr.remove(job.user)
+        # Out of its queue the job is unreachable by any worker, so this
+        # thread alone ends it.
+        if dequeued:
+            self._finish(job, jobmod.CANCELLED, QueryCancelled(reason))
+        return job
 
     # -- execution ------------------------------------------------------------
 
@@ -427,8 +377,7 @@ class QueryRuntime(object):
                         return
                     self._cond.wait(0.1)
                     job = self._next_job_locked()
-                job.transition(jobmod.RUNNING)
-                self._running[job.user] = self._running.get(job.user, 0) + 1
+                self._start_locked(job)
             self._run_job(job)
 
     def step(self):
@@ -442,16 +391,15 @@ class QueryRuntime(object):
             job = self._next_job_locked()
             if job is None:
                 return None
-            job.transition(jobmod.RUNNING)
-            self._running[job.user] = self._running.get(job.user, 0) + 1
+            self._start_locked(job)
         self._run_job(job)
         return job
 
-    def _start_job(self, job):
-        with self._cond:
-            job.transition(jobmod.RUNNING)
-            self._running[job.user] = self._running.get(job.user, 0) + 1
-        self._run_job(job)
+    def _start_locked(self, job):
+        """QUEUED -> RUNNING, counted against the user's concurrency limit
+        in the same critical section that chose the job."""
+        job.transition(jobmod.RUNNING)
+        self._running[job.user] = self._running.get(job.user, 0) + 1
 
     def _next_job_locked(self):
         """Fair dispatch: rotate through users, skipping any at their
@@ -493,65 +441,78 @@ class QueryRuntime(object):
                 prepared=job.prepared,
             )
         except QueryTimeout as exc:
-            job.error_class = classify_error(exc)
-            job.transition(jobmod.TIMED_OUT, error=str(exc),
-                           before_notify=self._log_outcome)
+            self._finish(job, jobmod.TIMED_OUT, exc)
         except QueryCancelled as exc:
-            job.error_class = classify_error(exc)
-            job.transition(jobmod.CANCELLED, error=str(exc),
-                           before_notify=self._log_outcome)
+            self._finish(job, jobmod.CANCELLED, exc)
         except Exception as exc:
+            self._finish(job, jobmod.FAILED, exc)
+        else:
+            self._finish(job, jobmod.SUCCEEDED, result=result)
+
+    def _finish(self, job, state, exc=None, result=None):
+        """The one place a job ends: move it to the terminal ``state``
+        (``exc`` on failure, ``result`` on success) and write each
+        per-query record exactly once.
+
+        A non-success is appended to the query log inside the transition,
+        so waiters released by ``job.wait()`` always see it (``run_query``
+        logs successes itself).  Queue wait is observed for every job;
+        execution time and worker busy time only for a job that was
+        dispatched.  A job that never reached ``run_query`` (cancelled in
+        the queue) has its failure class counted here, because
+        ``run_query`` counts every failure it sees.
+        """
+        dispatched = job.state == jobmod.RUNNING
+        if result is None:
             job.error_class = classify_error(exc)
-            job.transition(jobmod.FAILED, error=str(exc),
+            job.transition(state, error=str(exc),
                            before_notify=self._log_outcome)
         else:
             job.result = result
             job.cache_hit = result.cache_hit
             job.profile_data = result.profile
-            job.transition(jobmod.SUCCEEDED)
-        finally:
-            # Failure/cancel outcomes are logged by the ``before_notify``
-            # hook inside the terminal transition, so waiters released by
-            # ``job.wait()`` always observe the query-log record.
-            self._queue_hist.observe(job.queue_seconds)
+            job.transition(state)
+        self._queue_hist.observe(job.queue_seconds)
+        if dispatched:
             self._exec_hist.observe(job.exec_seconds)
             self._worker_busy.inc(job.exec_seconds)
-            self._jobs_finished.labels(outcome=job.state).inc()
-            self._record_querystore(job)
-            if self.adaptive is not None:
-                self.adaptive.after_job(job)
-            if job.result is not None:
-                # The completion path above was the plan's last reader; a
-                # job retained for polling serves rows, not operator trees.
-                job.result.plan = job.result.info = None
-            if self.config.events_enabled:
-                trace_id = (job.trace.trace_id
-                            if job.trace is not None else None)
-                if job.state == jobmod.SUCCEEDED and self.cache is not None:
-                    events.emit(
-                        "cache_hit" if job.cache_hit else "cache_miss",
-                        trace_id=trace_id, user=job.user,
-                        fingerprint=job.prepared.fingerprint,
-                        job_id=job.job_id)
+        else:
+            self.metrics.counter(
+                "repro_queries_failed_total",
+                "Failed queries by error taxonomy class.",
+            ).labels(error_class=job.error_class).inc()
+        self._jobs_finished.labels(outcome=state).inc()
+        self._record_querystore(job)
+        if self.adaptive is not None:
+            self.adaptive.after_job(job)
+        trace_id = job.trace.trace_id if job.trace is not None else None
+        if result is not None:
+            # The completion path above was the plan's last reader; a job
+            # retained for polling serves rows, not operator trees.
+            result.plan = result.info = None
+            if self.cache is not None:
                 events.emit(
-                    "finish", trace_id=trace_id, user=job.user,
+                    "cache_hit" if job.cache_hit else "cache_miss",
+                    trace_id=trace_id, user=job.user,
                     fingerprint=job.prepared.fingerprint,
-                    job_id=job.job_id, outcome=job.state,
-                    exec_ms=round(job.exec_seconds * 1000.0, 3),
-                    cross_shard=job.cross_shard or None)
-            with self._cond:
-                self._running[job.user] = self._running.get(job.user, 1) - 1
-                self._finished[job.state] = self._finished.get(job.state, 0) + 1
-                self._cond.notify_all()
+                    job_id=job.job_id)
+        events.emit(
+            "finish", trace_id=trace_id, user=job.user,
+            fingerprint=job.prepared.fingerprint,
+            job_id=job.job_id, outcome=state,
+            exec_ms=round(job.exec_seconds * 1000.0, 3),
+            cross_shard=job.cross_shard or None)
+        with self._cond:
+            if dispatched:
+                self._running[job.user] -= 1
+            self._finished[state] = self._finished.get(state, 0) + 1
+            self._cond.notify_all()
 
     def _record_querystore(self, job):
         """Fold one terminal job into the per-fingerprint Query Store."""
-        store = self.query_store
-        if store is None:
-            return
         try:
             result = job.result
-            store.record(
+            self.query_store.record(
                 job.sql,
                 plan=result.plan if result is not None else None,
                 seconds=job.exec_seconds,
@@ -638,22 +599,20 @@ class QueryRuntime(object):
                 payload["cache"] = cache_stats
             else:
                 payload["cache"] = None
-        if self.config.metrics_enabled:
-            latency = {}
-            for key, hist in (("queue_seconds", self._queue_hist),
-                              ("exec_seconds", self._exec_hist)):
-                summary = hist.to_dict()
-                latency[key] = {
-                    "count": summary["count"],
-                    "p50": summary["p50"],
-                    "p90": summary["p90"],
-                    "p99": summary["p99"],
-                }
-            payload["latency"] = latency
+        latency = {}
+        for key, hist in (("queue_seconds", self._queue_hist),
+                          ("exec_seconds", self._exec_hist)):
+            summary = hist.to_dict()
+            latency[key] = {
+                "count": summary["count"],
+                "p50": summary["p50"],
+                "p90": summary["p90"],
+                "p99": summary["p99"],
+            }
+        payload["latency"] = latency
         storage = getattr(self.platform, "storage", None)
         payload["storage"] = storage.stats() if storage is not None else None
-        payload["querystore"] = (self.query_store.summary()
-                                 if self.query_store is not None else None)
+        payload["querystore"] = self.query_store.summary()
         if self.adaptive is not None:
             adaptive = self.adaptive.summary()
             adaptive["feedback"] = self.feedback_store.summary()

@@ -488,20 +488,15 @@ class SQLShareApp(object):
     def querystore(self, user, body):
         """Per-fingerprint runtime history; ``?regressions=1`` filters to
         regressed queries, ``?limit=`` bounds the listing."""
-        store = getattr(self.runtime, "query_store", None)
-        if store is None:
-            raise _HTTPError(409, "the query store is disabled on this runtime")
         limit = body.get("limit")
-        return 200, store.to_dict(
+        return 200, self.runtime.query_store.to_dict(
             limit=int(limit) if limit is not None else 50,
             regressions_only=_truthy(body.get("regressions")),
         )
 
     @route("GET", "/api/v1/querystore/{fingerprint}")
     def querystore_entry(self, user, body, fingerprint):
-        store = getattr(self.runtime, "query_store", None)
-        if store is None:
-            raise _HTTPError(409, "the query store is disabled on this runtime")
+        store = self.runtime.query_store
         entry = store.get(fingerprint)
         if entry is None:
             raise _HTTPError(404, "no query store entry %r" % fingerprint)
@@ -512,11 +507,8 @@ class SQLShareApp(object):
     def _workload_advisor(self):
         from repro.adaptive import WorkloadAdvisor
 
-        store = getattr(self.runtime, "query_store", None)
-        if store is None:
-            raise _HTTPError(409, "the advisor needs the query store, "
-                                  "which is disabled on this runtime")
-        return WorkloadAdvisor(self.platform, query_store=store)
+        return WorkloadAdvisor(self.platform,
+                               query_store=self.runtime.query_store)
 
     @route("GET", "/api/v1/advisor")
     def advisor(self, user, body):

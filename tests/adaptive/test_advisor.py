@@ -152,10 +152,3 @@ class TestRestSurface:
             client._call("POST", "/api/v1/advisor/apply", {
                 "kind": "index", "dataset": "readings", "column": "site"})
         assert excinfo.value.status == 403
-
-    def test_409_without_query_store(self):
-        platform = build_advisor_platform(sites=20, rows_per_site=10)
-        client, _app = self._client(platform, querystore_enabled=False)
-        with pytest.raises(ClientError) as excinfo:
-            client.advisor()
-        assert excinfo.value.status == 409

@@ -8,7 +8,7 @@ import time
 
 from repro.obs import events
 from repro.obs.events import (
-    EventLog, NullEventLog, cluster_log_paths, filter_events, follow_events,
+    EventLog, cluster_log_paths, filter_events, follow_events,
     read_events,
 )
 
@@ -99,21 +99,11 @@ def test_emit_survives_unwritable_path(tmp_path):
     assert log.recent()[0]["event"] == "submit"
 
 
-def test_null_log_swallows_everything():
-    log = NullEventLog()
-    log.emit("submit", user="alice")
-    assert log.recent() == []
-
-
 def test_module_sink_configure_and_emit(tmp_path):
     try:
         events.configure(path=str(tmp_path / "events.jsonl"), process="test")
         events.emit("route", trace_id="t1")
         assert events.get_log().recent()[0]["event"] == "route"
-        disabled = events.configure(enabled=False)
-        assert isinstance(disabled, NullEventLog)
-        events.emit("route", trace_id="t2")
-        assert events.get_log().recent() == []
     finally:
         events.configure()  # restore an import-time-equivalent sink
 

@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     P2Quantile,
     buckets_up_to,
 )
@@ -177,17 +176,6 @@ class TestRegistry:
         assert after[key] - before[key] == 4.0
 
 
-class TestNullRegistry:
-    def test_api_compatible_noop(self):
-        registry = NullRegistry()
-        registry.counter("a", "h").labels(x="y").inc()
-        registry.gauge("b").set(1)
-        registry.histogram("c").observe(0.5)
-        registry.gauge_callback("d", "h", lambda: 1)
-        assert registry.snapshot() == {}
-        assert registry.render_prometheus() == ""
-
-
 class TestConfigurableBuckets:
     def test_buckets_up_to_extends_by_decades(self):
         extended = buckets_up_to(60.0)
@@ -228,6 +216,7 @@ class TestConfigurableBuckets:
         platform = SQLShare()
         platform.upload("alice", "obs", "a,b\n1,2\n")
         QueryRuntime(platform, RuntimeConfig(max_workers=0,
-                                             histogram_max_seconds=60.0))
+                                             statement_timeout=60.0))
         snap = platform.metrics.snapshot()
         assert 'repro_scheduler_exec_seconds_bucket{le="50"}' in snap
+        assert 'repro_scheduler_exec_seconds_bucket{le="100"}' in snap

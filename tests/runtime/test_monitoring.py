@@ -51,16 +51,6 @@ class TestQueryStoreWiring:
         assert entry.errors == 1
         assert entry.executions == 0
 
-    def test_querystore_disabled_by_config(self, platform):
-        runtime = manual_runtime(platform, querystore_enabled=False)
-        assert runtime.query_store is None
-        runtime.submit("alice", "SELECT site FROM obs")
-        assert getattr(platform, "query_store", None) is None
-
-    def test_querystore_disabled_without_metrics(self, platform):
-        runtime = manual_runtime(platform, metrics_enabled=False)
-        assert runtime.query_store is None
-
     def test_preattached_store_is_reused(self, platform):
         mine = QueryStore(capacity=7)
         platform.query_store = mine

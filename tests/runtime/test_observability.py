@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.sqlshare import SQLShare
 from repro.errors import AdmissionError
-from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.runtime import QueryRuntime, RuntimeConfig
 
 CSV = "site,temp\nA,10.5\nB,11.0\nC,12.5\n"
@@ -141,22 +140,6 @@ class TestTracingFlag:
         assert job.profile_data.summary()["executed"] >= 1
 
 
-class TestMetricsDisabled:
-    def test_null_registry_everywhere(self, platform):
-        runtime = manual_runtime(platform, metrics_enabled=False)
-        assert isinstance(platform.metrics, NullRegistry)
-        assert platform.db.metrics is None
-        job = runtime.submit("alice", "SELECT site FROM obs")
-        assert job.state == "SUCCEEDED"
-        assert platform.metrics.snapshot() == {}
-
-    def test_reenabling_restores_real_registry(self, platform):
-        manual_runtime(platform, metrics_enabled=False)
-        manual_runtime(platform, metrics_enabled=True)
-        assert isinstance(platform.metrics, MetricsRegistry)
-        assert platform.db.metrics is platform.metrics
-
-
 class TestStatsSnapshot:
     def test_cache_stats_inside_payload(self, platform):
         runtime = manual_runtime(platform)
@@ -171,8 +154,3 @@ class TestStatsSnapshot:
         latency = runtime.stats()["latency"]
         assert latency["exec_seconds"]["count"] == 1
         assert latency["exec_seconds"]["p50"] >= 0.0
-
-    def test_no_latency_when_metrics_disabled(self, platform):
-        runtime = manual_runtime(platform, metrics_enabled=False)
-        runtime.submit("alice", "SELECT site FROM obs")
-        assert "latency" not in runtime.stats()

@@ -82,13 +82,6 @@ class TestQuerystoreEndpoint:
             alice.querystore(fingerprint="feedfeedfeed")
         assert excinfo.value.status == 404
 
-    def test_409_when_disabled(self):
-        app = monitored_app(monitor_enabled=False, querystore_enabled=False)
-        client = SQLShareClient("alice", app=app)
-        with pytest.raises(ClientError) as excinfo:
-            client.querystore()
-        assert excinfo.value.status == 409
-
     def test_query_string_params_reach_the_handler(self, app, alice):
         alice.run_query("SELECT site FROM obs")
         transport = _WSGITransport(app)

@@ -21,11 +21,9 @@ CSV = "site,temp\nA,10.5\nB,11.0\nC,12.5\n"
 class TestParser:
     def test_serve_monitoring_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--no-monitor", "--monitor-interval", "1.5",
-             "--histogram-max", "60"])
+            ["serve", "--no-monitor", "--monitor-interval", "1.5"])
         assert args.no_monitor is True
         assert args.monitor_interval == 1.5
-        assert args.histogram_max == 60.0
 
     def test_top_defaults(self):
         args = build_parser().parse_args(["top"])

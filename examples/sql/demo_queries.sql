@@ -25,3 +25,9 @@ FROM observations o
 JOIN sites s ON o.site = s.site
 GROUP BY s.region
 HAVING COUNT(*) >= 1;
+
+-- Every column of sites, in order: the projection is an identity, and the
+-- qualified sort key is not an output name.
+SELECT s.site, s.region, s.latitude, s.longitude
+FROM sites s
+ORDER BY s.latitude DESC;

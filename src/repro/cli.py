@@ -233,6 +233,7 @@ def _render_diagnostic(diagnostic, text, path):
 
 def _cmd_lint(args):
     from repro.engine.database import Database
+    from repro.errors import SQLError
     from repro.lint import lint_text
 
     db = Database()
@@ -273,10 +274,19 @@ def _cmd_lint(args):
             from repro.lint import split_statements
 
             for offset, stmt_text in split_statements(text):
-                violations = db.check_plan(stmt_text.strip())
+                start = offset + len(stmt_text) - len(stmt_text.lstrip())
+                line = text.count("\n", 0, start) + 1
+                try:
+                    violations = db.check_plan(stmt_text.strip())
+                except SQLError as error:
+                    # Analyzed clean, yet no plan: never a silent pass.
+                    total += 1
+                    errors += 1
+                    print("%s:%d: error: query cannot be planned: %s"
+                          % (path, line, error))
+                    continue
                 if violations is None:
                     continue
-                line = text.count("\n", 0, offset) + 1
                 if not violations:
                     print("%s:%d: plan check ok" % (path, line))
                     continue

@@ -294,15 +294,6 @@ class Catalog(object):
         """Current version of an object (0 if it never existed)."""
         return self._versions.get(name.lower(), 0)
 
-    def version_vector(self, names):
-        """Sorted ((name, version), ...) tuple over ``names`` — the result
-        cache's validity stamp for a query touching those objects."""
-        with self._lock:
-            return tuple(sorted(
-                (name.lower(), self._versions.get(name.lower(), 0))
-                for name in names
-            ))
-
     def all_versions(self):
         """Snapshot of the whole version map (durability serialization)."""
         with self._lock:
@@ -433,11 +424,14 @@ class Catalog(object):
             return self.has_table(name) or self.has_view(name)
 
     def resolve(self, name):
-        """Return ('table', Table) or ('view', View) for a name."""
+        """Return ``(kind, object, version)`` for a name — ``kind`` is
+        'table' or 'view' — with the version read under the same lock as
+        the object, so the pair is one consistent reading."""
         key = name.lower()
         with self._lock:
+            version = self._versions.get(key, 0)
             if key in self._tables:
-                return "table", self._tables[key]
+                return "table", self._tables[key], version
             if key in self._views:
-                return "view", self._views[key]
+                return "view", self._views[key], version
         raise CatalogError("no table or view named %r" % name)

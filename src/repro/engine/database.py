@@ -89,7 +89,7 @@ class Database(object):
     def __init__(self, name="sqlshare"):
         self.name = name
         self.catalog = Catalog()
-        self.planner = Planner(self.catalog)
+        self.planner = Planner()
         #: Optional :class:`repro.obs.metrics.MetricsRegistry`.  When set,
         #: per-phase timings (parse/analyze/plan/execute) are recorded as
         #: histograms; when None the engine pays only a handful of clock
@@ -174,16 +174,16 @@ class Database(object):
                 profile=False, prepared=None):
         """Parse, analyze, plan and run one statement; returns a QueryResult.
 
-        The semantic analyzer runs between parsing and planning, so name and
-        type errors surface with source positions and the full list of
-        problems (``.diagnostics`` on the raised error) instead of only the
-        first one the planner happens to hit.
+        Semantic analysis — the one binder — runs between parsing and
+        planning, so name and type errors surface with source positions and
+        the full list of problems (``.diagnostics`` on the raised error),
+        exactly as :meth:`check` reports them.
 
         ``cancellation`` is an optional token the executor polls while
         iterating (cooperative cancel/timeout).  ``cache`` is an optional
         :class:`repro.runtime.cache.ResultCache`: queries are looked up by
-        normalized SQL, valid only while the catalog version of every
-        table/view the original plan reached is unchanged, and stored on
+        normalized SQL, valid only while every table/view analysis resolved
+        is still at the version read when it was resolved, and stored on
         success.  A hit skips parsing (when the text was seen before),
         analysis, planning and execution — the entry carries the original
         plan and PlanInfo, which a version match guarantees are still
@@ -224,14 +224,6 @@ class Database(object):
         self._enforce_plan_check(violations, sql)
         info = planned.info
         columns = [column.name for column in planned.schema]
-        # Stamp the vector BEFORE executing: if a concurrent writer
-        # bumps a referenced object mid-execution, the stored entry
-        # carries the pre-write versions and fails validation later,
-        # instead of blessing possibly-stale rows with new versions.
-        vector = None
-        if cache is not None:
-            vector = self.catalog.version_vector(
-                set(info.tables) | set(info.views))
         profiler = None
         if profile:
             from repro.obs.profiler import QueryProfiler
@@ -246,7 +238,10 @@ class Database(object):
                 profiler.detach()
         elapsed = self._phase("execute", started, trace, rows=len(rows))
         if cache is not None:
-            cache.store(prepared.key, vector, columns, rows,
+            # The versions were read as analysis resolved each object, so
+            # a write that lands after that makes the entry fail validation
+            # instead of blessing rows of the old state with new versions.
+            cache.store(prepared.key, planned.versions, columns, rows,
                         plan=planned.root, info=info)
         return QueryResult(
             columns,
@@ -270,16 +265,18 @@ class Database(object):
         return ended - started
 
     def _analyze(self, statement, sql, trace=None):
-        """Semantic analysis; raises with every diagnostic attached."""
+        """Semantic analysis (the one binder); raises with every diagnostic
+        attached, else returns the :class:`AnalysisResult`."""
         started = time.monotonic()
         analysis = semantic.analyze(statement, self.catalog, source=sql)
         self._phase("analyze", started, trace,
                     diagnostics=len(analysis.diagnostics))
         if not analysis.ok:
             raise semantic.error_from_diagnostics(analysis.diagnostics, sql)
+        return analysis
 
     def _plan(self, prepared, statement, trace=None):
-        """The shared analyze -> plan -> verify pipeline for one query.
+        """The shared bind -> plan -> verify pipeline for one query.
 
         Returns ``(planned, violations)``; ``violations`` is the plan
         verifier's finding list (None when :attr:`plan_check_mode` is
@@ -287,11 +284,11 @@ class Database(object):
         :meth:`execute` enforces the posture, :meth:`explain` and
         :meth:`check_plan` report.
         """
-        self._analyze(statement, prepared.sql, trace)
+        analysis = self._analyze(statement, prepared.sql, trace)
         started = time.monotonic()
         feedback = self.feedback
         planned = self.planner.plan(
-            statement,
+            analysis,
             feedback=(feedback.view(prepared.fingerprint)
                       if feedback is not None else None),
         )
@@ -350,15 +347,22 @@ class Database(object):
 
         Returns the list of :class:`repro.check.plancheck.PlanViolation`
         (empty = the plan honours every checked invariant), or None when
-        the statement is not a plannable, semantically valid query (or the
-        verifier is off) — the REST ``/check`` endpoint and ``repro lint
-        --explain`` surface that as the absence of a verdict rather than
-        an error.
+        the statement is not a query, semantic analysis rejects it (its
+        diagnostics say why) or the verifier is off.  A query that analyzes
+        clean and still cannot be planned raises: the REST ``/check``
+        endpoint and ``repro lint --explain`` report that as an error, not
+        as the absence of a verdict.
         """
-        try:
-            _planned, violations = self._plan_text(sql, prepared)
-        except SQLError:
+        if prepared is None:
+            prepared = self.prepare(sql)
+        if prepared.error is not None or not prepared.is_query:
             return None
+        try:
+            _planned, violations = self._plan(prepared, prepared.ast())
+        except SQLError as exc:
+            if getattr(exc, "diagnostics", None):
+                return None
+            raise
         return violations
 
     def _probe(self, cache, key, trace):
@@ -457,7 +461,7 @@ class Database(object):
 
     def create_view(self, name, query_ast, sql=None, replace=False):
         """Create a view from a parsed query (planning it validates it)."""
-        planned = self.planner.plan(query_ast)
+        planned = self.planner.plan(semantic.analyze(query_ast, self.catalog))
         columns = []
         seen = set()
         for column in planned.schema:
@@ -485,7 +489,8 @@ class Database(object):
     def _insert(self, statement):
         table = self.catalog.get_table(statement.table)
         if statement.query is not None:
-            planned = self.planner.plan(statement.query)
+            planned = self.planner.plan(semantic.analyze(statement.query,
+                                                         self.catalog))
             incoming = execute_plan(planned.root)
         else:
             incoming = []

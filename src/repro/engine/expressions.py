@@ -1,26 +1,20 @@
-"""Binding and evaluation of scalar expressions.
+"""Bound scalar expressions: typing, evaluation and description.
 
-The binder turns AST expressions into bound expression trees that carry a
-result type, can be evaluated against a row, and can describe themselves in
-the plan's predicate syntax (``income GT 500000`` as in Listing 1 of the
-paper).  Correlated subqueries are supported via an outer-scope chain and an
-execution context that stacks outer rows.
+Semantic analysis (:mod:`repro.engine.semantic`, the engine's one binder)
+turns AST expressions into these bound trees: each node carries a result
+type, evaluates against a row, and describes itself in the plan's
+predicate syntax (``income GT 500000`` as in Listing 1 of the paper).
+Columns are row slots; a correlated subquery reads outer columns through
+an execution context that stacks outer rows.
 """
 
+import copy
 import datetime as _dt
 from decimal import Decimal
 
-from repro.engine import ast_nodes as ast
 from repro.engine import functions
-from repro.engine.types import (
-    SQLType,
-    cast_value,
-    infer_literal_type,
-    is_numeric,
-    resolve_type_name,
-    unify_types,
-)
-from repro.errors import BindError, ExecutionError, TypeCheckError
+from repro.engine.types import SQLType, cast_value, infer_literal_type, unify_types
+from repro.errors import ExecutionError
 
 #: Predicate-description operator names used in extracted plans.
 _OP_NAMES = {"=": "EQ", "<>": "NE", "<": "LT", ">": "GT", "<=": "LE", ">=": "GE"}
@@ -55,38 +49,6 @@ class OutputColumn(object):
     def __repr__(self):
         prefix = "%s." % self.qualifier if self.qualifier else ""
         return "OutputColumn(%s%s: %s)" % (prefix, self.name, self.sql_type.value)
-
-
-class Scope(object):
-    """Name-resolution scope: a list of output columns plus an outer chain."""
-
-    def __init__(self, columns, parent=None):
-        self.columns = list(columns)
-        self.parent = parent
-
-    def resolve(self, name, table=None):
-        """Resolve a (possibly qualified) column name.
-
-        Returns ``(levels_up, slot, column)``: 0 levels for the local scope.
-        Raises :class:`BindError` on unknown or ambiguous names.
-        """
-        scope, levels = self, 0
-        while scope is not None:
-            matches = [
-                (slot, column)
-                for slot, column in enumerate(scope.columns)
-                if column.name.lower() == name.lower()
-                and (table is None or (column.qualifier or "").lower() == table.lower())
-            ]
-            if len(matches) == 1:
-                slot, column = matches[0]
-                return levels, slot, column
-            if len(matches) > 1:
-                raise BindError("ambiguous column reference %r" % name)
-            scope, levels = scope.parent, levels + 1
-        if table:
-            raise BindError("unknown column %s.%s" % (table, name))
-        raise BindError("unknown column %r" % name)
 
 
 #: Rows between cooperative cancellation checks (see ``ExecutionContext.tick``).
@@ -492,20 +454,43 @@ class BoundFunc(BoundExpr):
         return list(self.args)
 
 
-class BoundScalarSubquery(BoundExpr):
-    __slots__ = ("plan", "correlated")
+class BoundSubquery(BoundExpr):
+    """Base of the subquery expressions.
 
-    def __init__(self, plan, sql_type, correlated):
-        super(BoundScalarSubquery, self).__init__(sql_type)
-        self.plan = plan
+    ``query`` is the bound query semantic analysis produced; ``plan`` is its
+    operator tree, set on the copy the planner makes with :meth:`planned`
+    (the analyzed tree itself is never mutated).
+    """
+
+    __slots__ = ("query", "plan", "correlated")
+
+    def __init__(self, sql_type, query, correlated):
+        super(BoundSubquery, self).__init__(sql_type)
+        self.query = query
+        self.plan = None
         self.correlated = correlated
 
-    def eval(self, row, ctx):
+    def planned(self, plan):
+        planned = copy.copy(self)
+        planned.plan = plan
+        return planned
+
+    def _rows(self, row, ctx):
         ctx.outer_rows.append(row)
         try:
-            rows = ctx.run_subplan(self.plan, self.correlated)
+            return ctx.run_subplan(self.plan, self.correlated)
         finally:
             ctx.outer_rows.pop()
+
+
+class BoundScalarSubquery(BoundSubquery):
+    __slots__ = ()
+
+    def __init__(self, query, sql_type, correlated):
+        super(BoundScalarSubquery, self).__init__(sql_type, query, correlated)
+
+    def eval(self, row, ctx):
+        rows = self._rows(row, ctx)
         if not rows:
             return None
         if len(rows) > 1:
@@ -516,49 +501,35 @@ class BoundScalarSubquery(BoundExpr):
         return "SCALAR_SUBQUERY"
 
 
-class BoundExists(BoundExpr):
-    __slots__ = ("plan", "correlated", "negated")
+class BoundExists(BoundSubquery):
+    __slots__ = ("negated",)
 
-    def __init__(self, plan, correlated, negated):
-        super(BoundExists, self).__init__(SQLType.BIT)
-        self.plan = plan
-        self.correlated = correlated
+    def __init__(self, query, correlated, negated):
+        super(BoundExists, self).__init__(SQLType.BIT, query, correlated)
         self.negated = negated
 
     def eval(self, row, ctx):
-        ctx.outer_rows.append(row)
-        try:
-            rows = ctx.run_subplan(self.plan, self.correlated)
-        finally:
-            ctx.outer_rows.pop()
-        found = bool(rows)
+        found = bool(self._rows(row, ctx))
         return not found if self.negated else found
 
     def describe(self):
         return "NOT EXISTS" if self.negated else "EXISTS"
 
 
-class BoundInSubquery(BoundExpr):
-    __slots__ = ("operand", "plan", "correlated", "negated")
+class BoundInSubquery(BoundSubquery):
+    __slots__ = ("operand", "negated")
 
-    def __init__(self, operand, plan, correlated, negated):
-        super(BoundInSubquery, self).__init__(SQLType.BIT)
+    def __init__(self, operand, query, correlated, negated):
+        super(BoundInSubquery, self).__init__(SQLType.BIT, query, correlated)
         self.operand = operand
-        self.plan = plan
-        self.correlated = correlated
         self.negated = negated
 
     def eval(self, row, ctx):
         value = self.operand.eval(row, ctx)
         if value is None:
             return None
-        ctx.outer_rows.append(row)
-        try:
-            rows = ctx.run_subplan(self.plan, self.correlated)
-        finally:
-            ctx.outer_rows.pop()
         saw_null = False
-        for sub_row in rows:
+        for sub_row in self._rows(row, ctx):
             candidate = sub_row[0]
             if candidate is None:
                 saw_null = True
@@ -705,7 +676,8 @@ def _arithmetic(op, left, right):
     raise ExecutionError("unsupported operator %r" % op)
 
 
-def _binary_result_type(op, left, right):
+def binary_result_type(op, left, right):
+    """Result type of a binary operator over two bound operands."""
     if op in ("and", "or") or op in _OP_NAMES:
         return SQLType.BIT
     if op == "||":
@@ -731,11 +703,8 @@ def _binary_result_type(op, left, right):
 # Bound-expression surgery (used by the planner's predicate pushdown)
 # --------------------------------------------------------------------------
 
-_SUBQUERY_TYPES = (BoundScalarSubquery, BoundExists, BoundInSubquery)
-
-
 def contains_subquery(expr):
-    return any(isinstance(node, _SUBQUERY_TYPES) for node in expr.walk())
+    return any(isinstance(node, BoundSubquery) for node in expr.walk())
 
 
 def referenced_slots(expr):
@@ -743,17 +712,32 @@ def referenced_slots(expr):
     return {node.slot for node in expr.walk() if isinstance(node, BoundColumn)}
 
 
-def rebase_expr(expr, substitute):
+def rebase_expr(expr, substitute, subquery=None):
     """Clone ``expr`` replacing each BoundColumn via ``substitute(slot)``.
 
     ``substitute`` returns a replacement BoundExpr or None when the slot
-    cannot be mapped.  Returns None when the expression cannot be relocated
-    (unmappable slot, subquery inside it, or a substitution that itself
-    contains a subquery).
+    cannot be mapped; a ``substitute`` of None keeps every column.  Each
+    subquery node is replaced by ``subquery(node)`` (the planner uses this
+    to attach plans); without that callback a subquery makes the
+    expression unrelocatable.  Returns None when the expression cannot be
+    relocated (unmappable slot, subquery inside it, or a substitution that
+    itself contains a subquery).
     """
-    if isinstance(expr, _SUBQUERY_TYPES):
-        return None
+    def rebase(node):
+        return rebase_expr(node, substitute, subquery)
+
+    if isinstance(expr, BoundSubquery):
+        if subquery is None:
+            return None
+        replaced = subquery(expr)
+        if isinstance(expr, BoundInSubquery):
+            replaced.operand = rebase(expr.operand)
+            if replaced.operand is None:
+                return None
+        return replaced
     if isinstance(expr, BoundColumn):
+        if substitute is None:
+            return expr
         replacement = substitute(expr.slot)
         if replacement is None or contains_subquery(replacement):
             return None
@@ -761,224 +745,54 @@ def rebase_expr(expr, substitute):
     if isinstance(expr, (BoundLiteral, BoundOuterColumn)):
         return expr
     if isinstance(expr, BoundUnary):
-        operand = rebase_expr(expr.operand, substitute)
+        operand = rebase(expr.operand)
         return None if operand is None else BoundUnary(expr.op, operand)
     if isinstance(expr, BoundBinary):
-        left = rebase_expr(expr.left, substitute)
-        right = rebase_expr(expr.right, substitute)
+        left = rebase(expr.left)
+        right = rebase(expr.right)
         if left is None or right is None:
             return None
         return BoundBinary(expr.op, left, right, expr.sql_type)
     if isinstance(expr, BoundIsNull):
-        operand = rebase_expr(expr.operand, substitute)
+        operand = rebase(expr.operand)
         return None if operand is None else BoundIsNull(operand, expr.negated)
     if isinstance(expr, BoundLike):
-        operand = rebase_expr(expr.operand, substitute)
-        pattern = rebase_expr(expr.pattern, substitute)
+        operand = rebase(expr.operand)
+        pattern = rebase(expr.pattern)
         if operand is None or pattern is None:
             return None
         return BoundLike(operand, pattern, expr.negated)
     if isinstance(expr, BoundBetween):
-        parts = [
-            rebase_expr(expr.operand, substitute),
-            rebase_expr(expr.low, substitute),
-            rebase_expr(expr.high, substitute),
-        ]
+        parts = [rebase(expr.operand), rebase(expr.low), rebase(expr.high)]
         if any(part is None for part in parts):
             return None
         return BoundBetween(parts[0], parts[1], parts[2], expr.negated)
     if isinstance(expr, BoundInList):
-        operand = rebase_expr(expr.operand, substitute)
-        items = [rebase_expr(item, substitute) for item in expr.items]
+        operand = rebase(expr.operand)
+        items = [rebase(item) for item in expr.items]
         if operand is None or any(item is None for item in items):
             return None
         return BoundInList(operand, items, expr.negated)
     if isinstance(expr, BoundCase):
         whens = []
         for condition, result in expr.whens:
-            new_condition = rebase_expr(condition, substitute)
-            new_result = rebase_expr(result, substitute)
+            new_condition = rebase(condition)
+            new_result = rebase(result)
             if new_condition is None or new_result is None:
                 return None
             whens.append((new_condition, new_result))
         else_result = None
         if expr.else_result is not None:
-            else_result = rebase_expr(expr.else_result, substitute)
+            else_result = rebase(expr.else_result)
             if else_result is None:
                 return None
         return BoundCase(whens, else_result, expr.sql_type)
     if isinstance(expr, BoundCast):
-        operand = rebase_expr(expr.operand, substitute)
+        operand = rebase(expr.operand)
         return None if operand is None else BoundCast(operand, expr.target, expr.try_cast)
     if isinstance(expr, BoundFunc):
-        args = [rebase_expr(arg, substitute) for arg in expr.args]
+        args = [rebase(arg) for arg in expr.args]
         if any(arg is None for arg in args):
             return None
         return BoundFunc(expr.func, args)
     return None
-
-
-# --------------------------------------------------------------------------
-# The binder
-# --------------------------------------------------------------------------
-
-
-class Binder(object):
-    """Binds AST expressions against a scope.
-
-    ``replacements`` maps AST nodes (by structural equality) to pre-computed
-    slots in the input row; the planner uses this to route aggregate results
-    and window-function outputs through Compute Scalar expressions.
-
-    ``plan_subquery`` is a callback ``(query_ast, scope) -> (plan, schema,
-    correlated)`` supplied by the planner; it is required only when the
-    expression actually contains subqueries.
-
-    ``references`` accumulates ``(source_table, source_column)`` pairs for
-    every base-table column the expression touches — the raw material for
-    Phase 2 of the workload analysis.
-    """
-
-    def __init__(self, scope, plan_subquery=None, replacements=None, references=None,
-                 expression_ops=None):
-        self.scope = scope
-        self.plan_subquery = plan_subquery
-        self.replacements = replacements or {}
-        self.references = references if references is not None else set()
-        #: Names of expression operators used (for Table 4-style analysis).
-        self.expression_ops = expression_ops if expression_ops is not None else []
-        #: Physical plans of subqueries bound inside this expression.
-        self.subplans = []
-
-    def bind(self, node):
-        handler = getattr(self, "_bind_%s" % type(node).__name__.lower(), None)
-        if handler is None:
-            raise BindError("cannot bind %s here" % type(node).__name__)
-        if self.replacements:
-            slot_info = self.replacements.get(node)
-            if slot_info is not None:
-                slot, sql_type, name = slot_info
-                return BoundColumn(slot, sql_type, name)
-        try:
-            return handler(node)
-        except (BindError, TypeCheckError) as error:
-            if error.span is None:
-                error.span = getattr(node, "span", None)
-            raise
-
-    # -- leaf nodes -----------------------------------------------------------
-
-    def _bind_literal(self, node):
-        return BoundLiteral(node.value)
-
-    def _bind_columnref(self, node):
-        levels, slot, column = self.scope.resolve(node.name, node.table)
-        if column.source_table is not None:
-            self.references.add((column.source_table, column.source_column or column.name))
-        if levels == 0:
-            return BoundColumn(slot, column.sql_type, column.name)
-        return BoundOuterColumn(levels, slot, column.sql_type, column.name)
-
-    # -- composite nodes --------------------------------------------------------
-
-    def _bind_unaryop(self, node):
-        return BoundUnary(node.op, self.bind(node.operand))
-
-    def _bind_binaryop(self, node):
-        left = self.bind(node.left)
-        right = self.bind(node.right)
-        if node.op in ("+", "-", "*", "/", "%", "||", "&", "|", "^"):
-            self.expression_ops.append(
-                {"+": "ADD", "-": "SUB", "*": "MULT", "/": "DIV", "%": "MOD",
-                 "||": "CONCAT", "&": "BIT_AND", "|": "BIT_OR",
-                 "^": "BIT_XOR"}[node.op]
-            )
-        return BoundBinary(node.op, left, right, _binary_result_type(node.op, left, right))
-
-    def _bind_isnull(self, node):
-        return BoundIsNull(self.bind(node.operand), node.negated)
-
-    def _bind_like(self, node):
-        self.expression_ops.append("like")
-        return BoundLike(self.bind(node.operand), self.bind(node.pattern), node.negated)
-
-    def _bind_between(self, node):
-        operand = self.bind(node.operand)
-        low = self.bind(node.low)
-        high = self.bind(node.high)
-        # Sargable BETWEEN turns into a dynamic index range in SQL Server,
-        # surfacing the GetRange* intrinsics that dominate the SDSS
-        # workload's expression distribution (Table 4b of the paper).
-        if isinstance(operand, (BoundColumn, BoundOuterColumn)):
-            self.expression_ops.append("GetRangeThroughConvert")
-            if operand.sql_type != low.sql_type or operand.sql_type != high.sql_type:
-                self.expression_ops.append("GetRangeWithMismatchedTypes")
-        return BoundBetween(operand, low, high, node.negated)
-
-    def _bind_inlist(self, node):
-        return BoundInList(
-            self.bind(node.operand), [self.bind(item) for item in node.items], node.negated
-        )
-
-    def _bind_case(self, node):
-        whens = []
-        result_type = SQLType.UNKNOWN
-        for condition, result in node.whens:
-            if node.operand is not None:
-                condition = ast.BinaryOp("=", node.operand, condition)
-            bound_condition = self.bind(condition)
-            bound_result = self.bind(result)
-            result_type = unify_types(result_type, bound_result.sql_type)
-            whens.append((bound_condition, bound_result))
-        else_result = None
-        if node.else_result is not None:
-            else_result = self.bind(node.else_result)
-            result_type = unify_types(result_type, else_result.sql_type)
-        self.expression_ops.append("CASE")
-        return BoundCase(whens, else_result, result_type)
-
-    def _bind_cast(self, node):
-        target = resolve_type_name(node.type_name)
-        self.expression_ops.append("CAST")
-        return BoundCast(self.bind(node.operand), target, node.try_cast)
-
-    def _bind_funccall(self, node):
-        func = functions.lookup(node.name, len(node.args))
-        self.expression_ops.append(func.name)
-        return BoundFunc(func, [self.bind(arg) for arg in node.args])
-
-    def _bind_windowfunction(self, node):
-        raise BindError(
-            "window function %s used outside a select list" % node.func.name.upper()
-        )
-
-    def _bind_star(self, node):
-        raise BindError("'*' is only allowed in a select list or COUNT(*)")
-
-    # -- subqueries ---------------------------------------------------------------
-
-    def _require_subplanner(self):
-        if self.plan_subquery is None:
-            raise BindError("subqueries are not allowed in this context")
-
-    def _bind_scalarsubquery(self, node):
-        self._require_subplanner()
-        plan, schema, correlated = self.plan_subquery(node.subquery, self.scope)
-        if len(schema) != 1:
-            raise BindError("scalar subquery must return exactly one column")
-        self.subplans.append(plan)
-        return BoundScalarSubquery(plan, schema[0].sql_type, correlated)
-
-    def _bind_exists(self, node):
-        self._require_subplanner()
-        plan, _schema, correlated = self.plan_subquery(node.subquery, self.scope)
-        self.subplans.append(plan)
-        return BoundExists(plan, correlated, node.negated)
-
-    def _bind_insubquery(self, node):
-        self._require_subplanner()
-        plan, schema, correlated = self.plan_subquery(node.subquery, self.scope)
-        if len(schema) != 1:
-            raise BindError("IN subquery must return exactly one column")
-        self.subplans.append(plan)
-        return BoundInSubquery(self.bind(node.operand), plan, correlated, node.negated)

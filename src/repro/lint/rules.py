@@ -385,7 +385,7 @@ def order_by_ordinal(result, catalog):
     for info in result.selects:
         if info.depth or not info.select.order_by:
             continue
-        names = [column.name for column in info.output]
+        names = [column.name for column in info.schema]
         for finding in check(info.select.order_by, names):
             yield finding
     statement = result.statement

@@ -38,9 +38,11 @@ from repro.errors import (
     AdmissionError,
     ClusterError,
     DatasetError,
+    Diagnostic,
     PermissionError_,
     QuotaError,
     ReproError,
+    SQLError,
 )
 from repro.obs import events as events_mod
 from repro.obs.tracing import TraceContext
@@ -338,8 +340,15 @@ class SQLShareApp(object):
             "ok": all(d.severity != "error" for d in diagnostics),
         }
         # Static plan verdict: "ok", a list of violations, or absent when
-        # the statement is not a plannable, semantically valid query.
-        violations = self.platform.db.check_plan(sql, prepared=prepared)
+        # the statement is not a query or its diagnostics reject it.  A
+        # clean statement that still cannot be planned is an error here,
+        # as it would be on execution.
+        try:
+            violations = self.platform.db.check_plan(sql, prepared=prepared)
+        except SQLError as exc:
+            payload["diagnostics"].append(Diagnostic.from_error(exc, sql).to_dict())
+            payload["ok"] = False
+            violations = None
         if violations is not None:
             payload["plan_check"] = (
                 "ok" if not violations

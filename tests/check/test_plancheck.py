@@ -12,7 +12,7 @@ import pytest
 from repro.check import verify_plan
 from repro.check.plancheck import PLAN_CODES
 from repro.engine import operators as ops
-from repro.engine import parser
+from repro.engine import parser, semantic
 from repro.engine.database import Database
 from repro.engine.expressions import BoundColumn, BoundOuterColumn, OutputColumn
 from repro.engine.types import SQLType
@@ -33,7 +33,7 @@ def db():
 
 
 def plan(db, sql):
-    return db.planner.plan(parser.parse(sql))
+    return db.planner.plan(semantic.analyze(parser.parse(sql), db.catalog))
 
 
 def walk_all(operator):

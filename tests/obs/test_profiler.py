@@ -99,9 +99,11 @@ class TestProfiledExecution:
 
 class TestProfilerAttachDetach:
     def test_detach_restores_execute(self, db):
+        from repro.engine import semantic
         from repro.engine.parser import parse
 
-        planned = db.planner.plan(parse("SELECT site FROM obs"))
+        planned = db.planner.plan(
+            semantic.analyze(parse("SELECT site FROM obs"), db.catalog))
         profiler = QueryProfiler(planned.root)
         original = planned.root.execute
         profiler.attach()

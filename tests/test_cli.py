@@ -148,6 +148,17 @@ class TestLintCommand:
         assert code == 0
         assert "LINT004" in out
 
+    def test_explain_reports_a_clean_query_it_cannot_plan(self, tmp_path,
+                                                           capsys):
+        query = tmp_path / "q.sql"
+        query.write_text("CREATE TABLE t (a INT);\nCREATE TABLE u (a INT);\n"
+                         "SELECT t.a FROM t RIGHT JOIN u ON t.a > u.a;\n")
+        code = main(["lint", "--explain", str(query)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "q.sql:3: error: query cannot be planned" in out
+        assert "1 finding (1 error)" in out
+
     def test_stdin_dash(self, monkeypatch, capsys):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("SELECT 1 FROM nope;"))

@@ -18,6 +18,7 @@ import collections
 import math
 import re
 
+from repro.workload import metrics
 from repro.workload.plans_json import walk_plan
 
 _NUMBER_RE = re.compile(r"\b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b")
@@ -114,12 +115,9 @@ def entropy_table(catalog):
 
 
 def expression_distribution(catalog, top=None):
-    """Counter of expression operators (Table 4) plus distinct-op count."""
-    counts = collections.Counter()
-    for record in catalog:
-        counts.update(record.expression_ops)
-    ranked = counts.most_common(top)
-    return ranked, len(counts)
+    """Ranked expression operators (Table 4) plus distinct-op count."""
+    ranked = metrics.expression_frequency(catalog)
+    return ranked[:top], len(ranked)
 
 
 # -- §6.4: Mozafari chunked workload distance ----------------------------------------

@@ -3,6 +3,11 @@
 "Each dataset in SQLShare is a 3-tuple (sql, metadata, preview), where sql
 is a SQL query, metadata consists of a short name, a long description, and
 a set of tags, and preview is the first 100 rows of the dataset." (§3.2)
+
+Only the first two are stored.  The preview is derived from the sql on
+demand (:meth:`repro.core.sqlshare.SQLShare.preview`) through the
+versioned result cache, so it follows every change to the dataset and to
+the datasets its query reads.
 """
 
 PREVIEW_ROWS = 100
@@ -23,7 +28,7 @@ class DatasetMetadata(object):
 
 
 class Dataset(object):
-    """One dataset: a view plus metadata, preview and provenance links.
+    """One dataset: a view plus metadata and provenance links.
 
     ``kind`` is ``"wrapper"`` for the trivial view created over an uploaded
     base table, ``"derived"`` for user-saved queries, and ``"snapshot"`` for
@@ -39,8 +44,6 @@ class Dataset(object):
         "base_table",
         "derived_from",
         "created_at",
-        "preview_columns",
-        "preview_rows",
         "doi",
     )
 
@@ -53,8 +56,6 @@ class Dataset(object):
         self.base_table = base_table
         self.derived_from = list(derived_from or [])
         self.created_at = created_at
-        self.preview_columns = []
-        self.preview_rows = []
         self.doi = None
 
     @property
@@ -71,10 +72,11 @@ class Dataset(object):
         return self.kind == "derived"
 
     def set_preview(self, columns, rows):
-        """Cache the first ``PREVIEW_ROWS`` rows (§3.3: previews are served
-        without re-running the query, since datasets never mutate)."""
-        self.preview_columns = list(columns)
-        self.preview_rows = [tuple(row) for row in rows[:PREVIEW_ROWS]]
+        """Store nothing: previews are derived on read, not kept here.
+
+        Kept because ``benchmarks/e2e/workloads.py`` blanks every preview
+        this way before it compares state digests.
+        """
 
     def __repr__(self):
         return "Dataset(%r, owner=%r, kind=%s)" % (self.name, self.owner, self.kind)

@@ -21,7 +21,7 @@ from repro.engine import parser as sql_parser
 from repro.engine.catalog import Column
 from repro.engine.database import Database
 from repro.engine.types import unify_types
-from repro.errors import DatasetError, PermissionError_, ReproError, classify_error
+from repro.errors import DatasetError, PermissionError_, classify_error
 from repro.ingest.ingestor import Ingestor
 from repro.ingest.staging import StagingArea
 from repro.obs.metrics import MetricsRegistry
@@ -216,7 +216,6 @@ class SQLShare(object):
                           description=description,
                           tags=sorted(tags) if tags else [],
                           timestamp=moment)
-        self._refresh_preview(dataset)
         return dataset
 
     def _validate_name(self, name):
@@ -251,7 +250,6 @@ class SQLShare(object):
                           description=description,
                           tags=sorted(tags) if tags else [],
                           timestamp=moment)
-        self._refresh_preview(dataset)
         return dataset
 
     def append(self, owner, name, text, timestamp=None):
@@ -284,7 +282,6 @@ class SQLShare(object):
             self._invalidate_cache(name, dataset)
             self._durable("append", owner=owner, name=name, text=text,
                           timestamp=moment)
-        self._refresh_preview(dataset)
         return dataset
 
     def _check_append_compatible(self, dataset, base_table):
@@ -319,7 +316,6 @@ class SQLShare(object):
             self._invalidate_cache(name, dataset)
             self._durable("materialize", owner=owner, name=name,
                           source=source_name, timestamp=moment)
-        self._refresh_preview(dataset)
         return dataset
 
     def materialize_in_place(self, owner, name, timestamp=None):
@@ -421,7 +417,6 @@ class SQLShare(object):
                          for col_name, col_type in columns],
                 rows=[list(row) for row in rows],
                 timestamp=moment)
-        self._refresh_preview(dataset)
         return dataset
 
     def delete_dataset(self, owner, name):
@@ -556,10 +551,23 @@ class SQLShare(object):
         return self.db.explain(sql, prepared=prepared)
 
     def preview(self, user, name):
-        """The dataset's cached 100-row preview (no query execution, §3.3)."""
+        """The dataset's first ``PREVIEW_ROWS`` rows as ``(columns, rows)``.
+
+        A preview is derived state (§3.3): ``SELECT TOP 100`` over the
+        dataset, read through the result cache when one is attached.  Cache
+        entries are keyed by the catalog versions they read, so a preview
+        is never stale, and an unchanged dataset is not re-run.  Without a
+        cache every call runs the query.  The read is permission-checked
+        and is not written to the query log; a dataset whose query no
+        longer runs (a dependent of a deleted dataset) raises the engine's
+        error.
+        """
         self.permissions.check_access(user, name)
         dataset = self.dataset(name)
-        return dataset.preview_columns, dataset.preview_rows
+        result = self.db.execute(
+            "SELECT TOP %d * FROM %s" % (PREVIEW_ROWS, quote_ident(dataset.name)),
+            cache=self.result_cache)
+        return result.columns, result.rows
 
     def download(self, user, name, timestamp=None):
         """Full results — the one path that must actually run the query (§3.3)."""
@@ -593,29 +601,6 @@ class SQLShare(object):
                 )
             # Unknown names fall through to the engine's CatalogError.
         return referenced
-
-    def _refresh_preview(self, dataset):
-        """Populate the dataset's 100-row preview.
-
-        Deliberately called *outside* ``_state_lock`` by the mutators: the
-        preview SELECT is by far the most expensive step of an upload and
-        holding the state lock through it stalled every concurrent query
-        worker (the old baselined SELFCHECK003 findings).  Running it
-        unlocked is safe because the preview is advisory, derived state:
-        a racing delete/replace just means we drop the result, which the
-        re-check under the lock below guarantees.
-        """
-        try:
-            result = self.db.execute(
-                "SELECT TOP %d * FROM %s" % (PREVIEW_ROWS, quote_ident(dataset.name))
-            )
-        except ReproError:
-            # The dataset was deleted or redefined out from under us; the
-            # winning mutation refreshes (or drops) the preview itself.
-            return
-        with self._state_lock:
-            if self.datasets.get(dataset.name.lower()) is dataset:
-                dataset.set_preview(result.columns, result.rows)
 
     # -- sharing ----------------------------------------------------------------------
 

@@ -13,6 +13,8 @@ choice: scans versus seeks, predicate pushdown, join algorithms, costing
 and cardinality feedback.
 """
 
+import copy
+
 from repro.engine import cost as costmodel
 from repro.engine import operators as ops
 from repro.engine import semantic
@@ -53,7 +55,9 @@ class Planner(object):
         #: Fallback-selectivity bundle (see :mod:`repro.engine.cost`); swap
         #: the instance to retune every heuristic guess at once.
         self.selectivity_defaults = costmodel.DEFAULTS
-        #: Active cardinality-feedback view for the plan in progress.
+        #: Cardinality-feedback view of the plan in progress.  Only the
+        #: per-call copy that :meth:`plan` makes ever sets it, so one
+        #: thread's view never reaches another thread's plan.
         self._feedback = None
 
     # -- public entry point -----------------------------------------------------
@@ -79,13 +83,9 @@ class Planner(object):
         query = analysis.query
         if query is None:
             raise SQLError("not a query")
-        saved = self._feedback
-        if feedback is not None:
-            self._feedback = feedback
-        try:
-            root = self._plan_query(query)
-        finally:
-            self._feedback = saved
+        call = copy.copy(self)
+        call._feedback = feedback
+        root = call._plan_query(query)
         return PlannedQuery(root, query.schema, analysis.info,
                             analysis.version_vector())
 
@@ -723,18 +723,22 @@ class Planner(object):
         the select list) is evaluated by the projection into an extra slot
         the output schema ignores; when the projection was elided as an
         identity, the projection's input *is* ``root`` and the key applies
-        as it stands.  Subqueries in sort keys get plans but, as ever, are
-        not listed as the Sort's subplans.
+        as it stands.  The plans of subqueries in a key are the subplans of
+        the operator that evaluates it: the projection for a hidden key,
+        the Sort otherwise.
         """
         key_exprs = []
         descendings = []
+        subplans = []
         original_width = len(root.schema)
         for expr, descending, hidden in order:
-            key = self._executable(expr, [])
             if hidden is not None and projection is not None:
+                key = self._executable(expr, projection.subplans)
                 projection.exprs.append(key)
                 projection.schema.append(hidden)
                 key = BoundColumn(len(projection.schema) - 1, key.sql_type, hidden.name)
+            else:
+                key = self._executable(expr, subplans)
             key_exprs.append(key)
             descendings.append(descending)
         hidden_width = len(root.schema) - original_width
@@ -742,6 +746,7 @@ class Planner(object):
             root, key_exprs, descendings,
             output_width=original_width if hidden_width else None,
         )
+        sort.subplans.extend(subplans)
         sort.set_estimates(root.est_rows, root.row_size, 0.0,
                            costmodel.sort_cpu(root.est_rows))
         sort.schema = list(out_columns)

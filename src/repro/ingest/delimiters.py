@@ -2,9 +2,14 @@
 
 Per the paper: "To infer the format, we consider various row and column
 delimiter values until the first N rows can be parsed with identical column
-counts."  Quoted fields (``"a,b"``) are honoured for comma/semicolon/tab
-delimiters, since science CSVs routinely quote free-text columns.
+counts."  Records are read by :mod:`csv`, so a quoted field (``"a,b"``)
+may hold the field delimiter, doubled quotes and line breaks: science CSVs
+routinely quote free-text note columns.
 """
+
+import csv
+import io
+import itertools
 
 from repro.errors import IngestError
 
@@ -14,6 +19,10 @@ FIELD_DELIMITERS = (",", "\t", ";", "|", " ")
 ROW_DELIMITERS = ("\r\n", "\n", "\r")
 #: Rows inspected when inferring the format.
 DEFAULT_PREFIX_ROWS = 20
+
+# csv refuses fields over 128 KiB by default; a field of an uploaded file
+# (a free-text note, a sequence) may be as long as the file.
+csv.field_size_limit(2 ** 31 - 1)
 
 
 class FormatGuess(object):
@@ -36,43 +45,28 @@ class FormatGuess(object):
         )
 
 
-def split_rows(text, row_delimiter):
-    rows = text.split(row_delimiter)
-    # A trailing delimiter produces one empty phantom row; drop it.
-    while rows and rows[-1] == "":
-        rows.pop()
-    return rows
+def read_records(text, field_delimiter, limit=None):
+    """The records of ``text`` as lists of fields (the first ``limit``).
 
-
-def split_fields(line, delimiter):
-    """Split one line on a delimiter, honouring double-quoted fields."""
-    if '"' not in line:
-        if delimiter == " ":
-            return [part for part in line.split() ] or [""]
-        return line.split(delimiter)
-    fields = []
-    current = []
-    in_quotes = False
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch == '"':
-            if in_quotes and i + 1 < n and line[i + 1] == '"':
-                current.append('"')
-                i += 2
-                continue
-            in_quotes = not in_quotes
-            i += 1
-            continue
-        if not in_quotes and line.startswith(delimiter, i):
-            fields.append("".join(current))
-            current = []
-            i += len(delimiter)
-            continue
-        current.append(ch)
-        i += 1
-    fields.append("".join(current))
-    return fields
+    ``csv.reader`` does the reading: a record ends at a CRLF, LF or CR
+    outside quotes, and a leading byte-order mark is dropped.
+    Trailing blank lines are dropped; any other blank line is one empty
+    field.  With the space delimiter, runs of spaces separate fields and
+    leading or trailing spaces make none.  Raises :class:`IngestError`
+    when ``csv`` cannot read the text.
+    """
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=field_delimiter)
+    try:
+        records = list(itertools.islice(reader, limit))
+    except csv.Error as error:
+        raise IngestError("line %d: %s" % (reader.line_num, error))
+    while records and not records[-1]:
+        records.pop()
+    if field_delimiter == " ":
+        records = [[field for field in record if field] for record in records]
+    return [record or [""] for record in records]
 
 
 def infer_format(text, prefix_rows=DEFAULT_PREFIX_ROWS):
@@ -83,33 +77,34 @@ def infer_format(text, prefix_rows=DEFAULT_PREFIX_ROWS):
     yields more than one column, the file is treated as single-column.
     Raises :class:`IngestError` on empty input.
     """
-    if not text.strip():
+    if not text.lstrip("\ufeff").strip():
         raise IngestError("cannot infer format of an empty file")
     row_delimiter = _pick_row_delimiter(text)
-    lines = split_rows(text, row_delimiter)[:prefix_rows]
     best = None
     for delimiter in FIELD_DELIMITERS:
-        counts = [len(split_fields(line, delimiter)) for line in lines]
+        records = read_records(text, delimiter, prefix_rows)
+        counts = [len(record) for record in records]
         widest = max(counts)
         if widest <= 1:
             continue
         if all(count == counts[0] for count in counts):
             # The paper's rule: identical column counts across the prefix.
-            best = (delimiter, counts[0])
+            best = (delimiter, counts[0], 1.0, records)
             break
-        # Ragged near-miss: prefer the delimiter that splits the most rows;
-        # width accommodates the longest row (§3.1's extra-column rule).
-        consistency = sum(1 for count in counts if count > 1)
-        candidate = (delimiter, widest, consistency)
-        if best is None or (len(best) == 3 and consistency > best[2]):
+        # Ragged near-miss: prefer the delimiter that splits the largest
+        # share of records (a share, since a delimiter that breaks quoted
+        # line breaks reads more, shorter records); width accommodates the
+        # longest row (§3.1's extra-column rule).
+        consistency = sum(1 for count in counts if count > 1) / len(counts)
+        candidate = (delimiter, widest, consistency, records)
+        if best is None or consistency > best[2]:
             best = candidate
     if best is None:
         # Single-column file.
-        guess = FormatGuess("\x1f", row_delimiter, 1, _looks_like_header(lines[0:1], "\x1f"))
-        return guess
-    delimiter, width = best[0], best[1]
-    has_header = _looks_like_header(lines, delimiter)
-    return FormatGuess(delimiter, row_delimiter, width, has_header)
+        return FormatGuess("\x1f", row_delimiter, 1,
+                           _looks_like_header(read_records(text, "\x1f", 1)))
+    delimiter, width, _consistency, records = best
+    return FormatGuess(delimiter, row_delimiter, width, _looks_like_header(records))
 
 
 def _pick_row_delimiter(text):
@@ -119,28 +114,27 @@ def _pick_row_delimiter(text):
     return "\n"
 
 
-def _looks_like_header(lines, delimiter):
+def _looks_like_header(records):
     """Header heuristic: first row is all non-numeric, non-empty and some
     later row has at least one numeric field (so the file isn't all text,
     in which case we cannot tell and assume no header only if repeated)."""
-    if not lines:
+    if not records:
         return False
-    first = split_fields(lines[0], delimiter)
-    non_empty = [field for field in first if field.strip()]
+    non_empty = [field for field in records[0] if field.strip()]
     # Partially-named headers are common in science uploads; an empty cell
     # does not disqualify the row, but an all-empty or numeric one does.
     if not non_empty:
         return False
     if any(_is_number(field) for field in non_empty):
         return False
-    if len(lines) == 1:
+    if len(records) == 1:
         return True
-    for line in lines[1:]:
-        if any(_is_number(field) for field in split_fields(line, delimiter)):
+    for record in records[1:]:
+        if any(_is_number(field) for field in record):
             return True
     # All-text file: a header is indistinguishable; assume the first row is
     # data unless it is unique-ish (appears once).
-    return lines.count(lines[0]) == 1
+    return records.count(records[0]) == 1
 
 
 def _is_number(text):

@@ -69,8 +69,7 @@ class Ingestor(object):
         report = IngestReport(table_name)
         fmt = delimiters.infer_format(text, prefix_rows=self.format_prefix_rows)
         report.format = fmt
-        lines = delimiters.split_rows(text, fmt.row_delimiter)
-        records = [delimiters.split_fields(line, fmt.field_delimiter) for line in lines]
+        records = delimiters.read_records(text, fmt.field_delimiter)
         if fmt.has_header:
             header, records = records[0], records[1:]
         else:

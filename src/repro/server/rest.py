@@ -266,10 +266,13 @@ class SQLShareApp(object):
         self.platform.permissions.check_access(user, name)
         dataset = self.platform.dataset(name)
         info = self._dataset_info(dataset)
-        info["preview"] = {
-            "columns": dataset.preview_columns,
-            "rows": dataset.preview_rows,
-        }
+        try:
+            columns, rows = self.platform.preview(user, name)
+            info["preview"] = {"columns": columns, "rows": rows}
+        except ReproError as exc:
+            # A dependent of a deleted dataset still has its metadata and
+            # provenance; only its rows cannot be read.
+            info["preview"] = {"columns": [], "rows": [], "error": str(exc)}
         info["provenance"] = self.platform.views.provenance(name)
         return 200, info
 

@@ -5,6 +5,15 @@ with rows, views with their SQL), catalog versions, datasets, permissions,
 quotas, the query log, macros and ingest reports.  The snapshot store
 frames this document on disk; recovery rebuilds a live platform from it.
 
+The document holds live state only: table rows are the tables' own row
+tuples, and derived state (dataset previews, cached results) is not
+written at all.  Dates, datetimes and Decimals, in rows as everywhere
+else, go through one tag scheme, :func:`json_default` on the way out and
+:func:`json_object_hook` on the way in, which the WAL uses too.
+Snapshots written before this scheme tagged row cells as 2-lists
+(``["@d", "2011-06-01"]``); :func:`decode_row` still reads them, and
+passes cells the hook has already decoded through unchanged.
+
 Two invariants the rest of the subsystem leans on:
 
 - **Round-trip exactness**: ``restore_platform_state(p2, platform_to_state(p1))``
@@ -53,23 +62,11 @@ def json_object_hook(obj):
 
 
 # -- cell values ---------------------------------------------------------------
-#
-# Row cells are plain scalars except dates, datetimes and decimals, which
-# are tagged 2-lists (lists are never legal cell values, so the tag cannot
-# collide with data).
-
-
-def encode_value(value):
-    if isinstance(value, _dt.datetime):
-        return ["@dt", value.isoformat()]
-    if isinstance(value, _dt.date):
-        return ["@d", value.isoformat()]
-    if isinstance(value, Decimal):
-        return ["@n", str(value)]
-    return value
 
 
 def decode_value(value):
+    """One row cell: a 2-list tagged ``@dt``/``@d``/``@n`` (older
+    snapshots) is decoded, anything else is returned as it is."""
     if isinstance(value, list):
         tag, raw = value
         if tag == "@dt":
@@ -80,10 +77,6 @@ def decode_value(value):
             return Decimal(raw)
         raise ValueError("unknown cell tag %r" % tag)
     return value
-
-
-def encode_row(row):
-    return [encode_value(value) for value in row]
 
 
 def decode_row(row):
@@ -116,7 +109,7 @@ def platform_to_state(platform):
                 {
                     "name": table.name,
                     "columns": _encode_columns(table.columns),
-                    "rows": [encode_row(row) for row in table.rows],
+                    "rows": list(table.rows),
                 }
                 for table in catalog.tables()
             ],
@@ -188,8 +181,6 @@ def _dataset_to_dict(dataset):
         "description": dataset.metadata.description,
         "tags": sorted(dataset.metadata.tags),
         "doi": dataset.doi,
-        "preview_columns": list(dataset.preview_columns),
-        "preview_rows": [encode_row(row) for row in dataset.preview_rows],
     }
 
 
@@ -273,8 +264,6 @@ def restore_platform_state(platform, state):
             tags=spec["tags"],
         )
         dataset.doi = spec["doi"]
-        dataset.preview_columns = list(spec["preview_columns"])
-        dataset.preview_rows = [decode_row(row) for row in spec["preview_rows"]]
         platform.datasets[dataset.name.lower()] = dataset
 
     platform.permissions.restore_state(state["permissions"])

@@ -66,8 +66,7 @@ def operator_frequency(catalog, ignore=("Clustered Index Scan",), top=10):
             if op_name not in ignore:
                 counts[op_name] += 1
     total = float(len(catalog)) or 1.0
-    ranked = counts.most_common(top)
-    return [(name, 100.0 * count / total) for name, count in ranked]
+    return [(name, 100.0 * count / total) for name, count in _ranked(counts, top)]
 
 
 def expression_frequency(catalog, top=None):
@@ -75,8 +74,17 @@ def expression_frequency(catalog, top=None):
     counts = collections.Counter()
     for record in catalog:
         counts.update(record.expression_ops)
-    ranked = counts.most_common(top)
-    return ranked
+    return _ranked(counts, top)
+
+
+def _ranked(counts, top):
+    """``(name, count)`` pairs by count, descending, ties by name.
+
+    ``Counter.most_common`` breaks ties in insertion order, which follows
+    set iteration and so the hash seed; the name makes the order, and
+    which names a ``top`` cut keeps, the same on every run.
+    """
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:top]
 
 
 def queries_per_table(catalog, cap=5):

@@ -7,15 +7,18 @@ import pytest
 from repro.core.dataset import Dataset, PREVIEW_ROWS
 from repro.core.querylog import QueryLog
 from repro.core.quota import QuotaManager
+from repro.core.sqlshare import SQLShare
 from repro.core.views import ViewGraph
 from repro.errors import DatasetError, QuotaError
 
 
 class TestDataset:
     def test_preview_capped_at_100(self):
-        dataset = Dataset("d", "u", "SELECT 1", "wrapper")
-        dataset.set_preview(["a"], [(i,) for i in range(500)])
-        assert len(dataset.preview_rows) == PREVIEW_ROWS
+        share = SQLShare()
+        share.upload("u", "d", "a\n" + "".join("%d\n" % i for i in range(500)))
+        columns, rows = share.preview("u", "d")
+        assert columns == ["a"]
+        assert rows == [(i,) for i in range(PREVIEW_ROWS)]
 
     def test_kinds(self):
         assert Dataset("d", "u", "", "wrapper").is_wrapper

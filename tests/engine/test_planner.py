@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.plancheck import verify_plan
 from repro.engine.database import Database
 from repro.engine import operators as ops
 
@@ -169,6 +170,21 @@ class TestOtherPlanShapes:
         ).plan
         with_subplans = [op for op in plan.walk() if op.subplans]
         assert with_subplans, "expected a subplan attached to an operator"
+
+    @pytest.mark.parametrize("select, evaluator", [
+        ("SELECT *", "Sort"),             # the Sort evaluates the key
+        ("SELECT k", "Compute Scalar"),   # a hidden key: the projection does
+    ])
+    def test_order_by_subquery_attached_as_subplan(self, db, select, evaluator):
+        sql = (select + " FROM small ORDER BY "
+               "(SELECT COUNT(*) FROM big WHERE big.grp = small.k) DESC, k")
+        result = db.explain(sql)
+        owners = [op.physical_name for op in result.plan.walk() if op.subplans]
+        assert owners == [evaluator]
+        assert "Stream Aggregate" in result.xml
+        assert verify_plan(result.plan) == []
+        keys = [row[0] for row in db.execute(sql).rows]
+        assert keys == list(range(10))
 
     def test_costs_accumulate(self, db):
         plan = db.explain("SELECT grp, COUNT(*) FROM big GROUP BY grp ORDER BY grp").plan

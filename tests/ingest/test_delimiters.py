@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import IngestError
-from repro.ingest.delimiters import infer_format, split_fields, split_rows
+from repro.ingest.delimiters import infer_format, read_records
+
+
+def split_fields(line, delimiter):
+    """The fields of a one-record text."""
+    (record,) = read_records(line, delimiter)
+    return record
 
 
 class TestFieldSplitting:
@@ -22,13 +28,26 @@ class TestFieldSplitting:
     def test_empty_fields(self):
         assert split_fields("a,,c", ",") == ["a", "", "c"]
 
+    def test_runs_of_spaces_are_one_delimiter(self):
+        assert split_fields("  a  b c ", " ") == ["a", "b", "c"]
+
+    def test_quoted_newline_stays_in_its_field(self):
+        assert read_records('id,note\n1,"a\nb"\n2,c\n', ",") == [
+            ["id", "note"], ["1", "a\nb"], ["2", "c"]]
+
 
 class TestRowSplitting:
     def test_trailing_newline_dropped(self):
-        assert split_rows("a\nb\n", "\n") == ["a", "b"]
+        assert read_records("a\nb\n", ",") == [["a"], ["b"]]
 
     def test_crlf(self):
-        assert split_rows("a\r\nb\r\n", "\r\n") == ["a", "b"]
+        assert read_records("a\r\nb\r\n", ",") == [["a"], ["b"]]
+
+    def test_interior_blank_line_is_one_empty_field(self):
+        assert read_records("a\n\nb\n\n\n", ",") == [["a"], [""], ["b"]]
+
+    def test_byte_order_mark_dropped(self):
+        assert read_records("\ufeff1,2\n", ",") == [["1", "2"]]
 
 
 class TestInferFormat:

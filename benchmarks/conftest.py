@@ -1,52 +1,28 @@
-"""Shared fixtures for the reproduction benchmarks.
+"""Shared fixtures for the design ablations (``bench_ablation_*.py``).
 
-Each bench regenerates one table or figure from the paper's evaluation.
-The synthetic deployment and the two-phase extraction run once per pytest
-session; individual benches time their analysis function and write the
-reproduced rows/series (with the paper's numbers alongside) to
-``bench_results/<name>.txt``.
-
-Scale: set ``REPRO_SCALE`` (default 0.05 here).  1.0 approximates the
-paper's SQLShare corpus (~24k queries); SDSS is generated at
-``200k * scale`` instead of 7M with the same internal ratios.
+Each ablation times one design choice and writes its table to
+``bench_results/<name>.txt``.  The SQLShare deployment they share is built
+once per pytest session at a constant scale 0.05 (seed 42).  The paper's
+tables and figures are not here: ``repro analyze --scale S`` regenerates
+them and checks their shape (``repro.analysis.study``).
 """
 
-import os
 import pathlib
 
 import pytest
 
-from repro.synth.driver import build_sdss_workload, build_sqlshare_deployment
+from repro.synth.driver import build_sqlshare_deployment
 from repro.workload.extract import WorkloadAnalyzer
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "bench_results"
 
-
-def _scale():
-    raw = os.environ.get("REPRO_SCALE")
-    return float(raw) if raw else 0.05
+ABLATION_SCALE = 0.05
 
 
 @pytest.fixture(scope="session")
-def sqlshare_platform():
-    platform, _generator = build_sqlshare_deployment(scale=_scale(), seed=42)
-    return platform
-
-
-@pytest.fixture(scope="session")
-def sqlshare_catalog(sqlshare_platform):
-    return WorkloadAnalyzer(sqlshare_platform, label="sqlshare").analyze()
-
-
-@pytest.fixture(scope="session")
-def sdss_workload_fixture():
-    workload, _generator = build_sdss_workload(scale=_scale() / 5.0, seed=7)
-    return workload
-
-
-@pytest.fixture(scope="session")
-def sdss_catalog(sdss_workload_fixture):
-    return WorkloadAnalyzer(sdss_workload_fixture, label="sdss").analyze()
+def sqlshare_catalog():
+    platform, _generator = build_sqlshare_deployment(scale=ABLATION_SCALE, seed=42)
+    return WorkloadAnalyzer(platform, label="sqlshare").analyze()
 
 
 @pytest.fixture(scope="session")

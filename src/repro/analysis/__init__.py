@@ -15,4 +15,7 @@ Each module reproduces one cluster of findings:
   :mod:`repro.lint`)
 - :mod:`repro.analysis.estimation` -- cardinality-estimation quality
   (q-error) from profiled workload replay (builds on :mod:`repro.obs`)
+- :mod:`repro.analysis.study` -- the whole study: builds both workloads,
+  renders every table/figure above and checks the paper's claims as a
+  shape contract (``repro analyze``)
 """

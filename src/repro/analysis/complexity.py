@@ -1,8 +1,7 @@
 """Query complexity analyses (§6.1, Figures 7-10).
 
 Thin, named wrappers over :mod:`repro.workload.metrics` so each figure has
-one obvious entry point, plus side-by-side comparison helpers for the
-SQLShare-vs-SDSS framing the paper uses.
+one obvious entry point.
 """
 
 from repro.workload import metrics
@@ -17,21 +16,9 @@ def length_histogram(catalog):
     return metrics.length_histogram(catalog)
 
 
-def length_comparison(catalogs):
-    """Figure 7 with multiple workloads: {label: histogram}."""
-    return {catalog.label: metrics.length_histogram(catalog) for catalog in catalogs}
-
-
 def distinct_operator_distribution(catalog):
     """Figure 8: % of queries per distinct-operator bucket."""
     return metrics.distinct_operator_histogram(catalog)
-
-
-def distinct_operator_comparison(catalogs):
-    return {
-        catalog.label: metrics.distinct_operator_histogram(catalog)
-        for catalog in catalogs
-    }
 
 
 def operator_frequency(catalog, ignore=SQLSHARE_IGNORED_OPERATORS, top=10):
@@ -49,7 +36,3 @@ def top_decile_distinct_operators(catalog):
         return 0.0
     decile = counts[: max(1, len(counts) // 10)]
     return sum(decile) / float(len(decile))
-
-
-def max_query_length(catalog):
-    return max((record.length for record in catalog), default=0)

@@ -2,8 +2,8 @@
 
 Commands:
 
-- ``demo``    — run the quickstart workflow and print the results.
-- ``analyze`` — generate a deployment and print the paper's tables/figures.
+- ``analyze`` — generate the study, print the paper's tables/figures and
+  its shape contract; exit 1 when a contract row fails.
 - ``serve``   — start the REST API over a freshly generated deployment
   (``--shards N`` scales out across N worker processes behind a
   coordinator).
@@ -33,19 +33,10 @@ import argparse
 import sys
 
 
-def _cmd_demo(_args):
-    from examples import quickstart  # noqa: F401  (examples on sys.path)
-
-    quickstart.main()
-    return 0
-
-
 def _cmd_analyze(args):
-    sys.path.insert(0, "benchmarks")
-    from benchmarks import run_all
+    from repro.analysis import study
 
-    run_all.main(args.scale)
-    return 0
+    return study.main(args.scale)
 
 
 def _generate(scale):
@@ -636,8 +627,6 @@ def build_parser():
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("demo", help="run the quickstart workflow")
-
     analyze = commands.add_parser("analyze", help="regenerate the paper's results")
     analyze.add_argument("--scale", type=float, default=0.05,
                          help="workload scale (1.0 ~ paper size; default 0.05)")
@@ -842,7 +831,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = {
-        "demo": _cmd_demo,
         "analyze": _cmd_analyze,
         "serve": _cmd_serve,
         "export": _cmd_export,

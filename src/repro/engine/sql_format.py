@@ -1,8 +1,8 @@
 """SQL rendering: AST -> canonical SQL text.
 
 The inverse of the parser (round-trip property: ``parse(render(parse(q)))``
-equals ``parse(q)``).  Used by the recommender and tooling to display
-normalized queries, and heavily exercised by the property-based tests.
+equals ``parse(q)``).  Used by tooling to display normalized queries,
+and heavily exercised by the property-based tests.
 """
 
 from repro.engine import ast_nodes as ast

@@ -1,12 +1,9 @@
 """Convenience builders shared by examples, tests and benchmarks.
 
-Scale is controlled by the ``REPRO_SCALE`` environment variable (default
-0.1): 1.0 approximates the paper's corpus sizes (591 users / 24k queries
-for SQLShare; the SDSS side is generated at 200k instead of 7M with the
-same internal ratios — see EXPERIMENTS.md).
+``scale`` 1.0 approximates the paper's corpus sizes (591 users / 24k
+queries for SQLShare; the SDSS side is generated at 200k instead of 7M
+with the same internal ratios — see EXPERIMENTS.md).
 """
-
-import os
 
 from repro.synth.sdss_workload import SDSSWorkloadGenerator
 from repro.synth.sqlshare_workload import SQLShareWorkloadGenerator
@@ -16,25 +13,15 @@ PAPER_USERS = 591
 PAPER_SDSS_QUERIES = 200000
 
 
-def configured_scale(default=0.1):
-    """The REPRO_SCALE environment setting (a float)."""
-    raw = os.environ.get("REPRO_SCALE")
-    if not raw:
-        return default
-    return max(0.005, float(raw))
-
-
-def build_sqlshare_deployment(scale=None, seed=42):
+def build_sqlshare_deployment(scale=0.1, seed=42):
     """Generate a SQLShare deployment; returns (platform, generator)."""
-    scale = configured_scale() if scale is None else scale
     generator = SQLShareWorkloadGenerator(seed=seed, users=PAPER_USERS, scale=scale)
     platform = generator.generate()
     return platform, generator
 
 
-def build_sdss_workload(scale=None, seed=7):
+def build_sdss_workload(scale=0.1, seed=7):
     """Generate the SDSS comparator; returns (workload, generator)."""
-    scale = configured_scale() if scale is None else scale
     total = max(500, int(PAPER_SDSS_QUERIES * scale))
     generator = SDSSWorkloadGenerator(seed=seed, total_queries=total)
     workload = generator.generate()

@@ -41,6 +41,9 @@ from repro.obs.profiler import q_error
 DEFAULT_Q_ERROR_BOUND = 4.0
 #: Probe/re-plan cycles allowed per fingerprint.
 MAX_REPLANS = 3
+#: Size past which a per-fingerprint set is cleared: one-off traffic must
+#: not grow the controller's state without limit.
+TRACKED_LIMIT = 4096
 
 
 class AdaptiveController(object):
@@ -123,7 +126,7 @@ class AdaptiveController(object):
             if sites:
                 self._replans[fingerprint] = (
                     self._replans.get(fingerprint, 0) + 1)
-                if len(self._replans) > 4096:
+                if len(self._replans) > TRACKED_LIMIT:
                     self._replans.clear()
         if not sites:
             return
@@ -143,6 +146,8 @@ class AdaptiveController(object):
         with self._lock:
             if fingerprint in self._pending:
                 return False
+            if len(self._pending) >= TRACKED_LIMIT:
+                self._pending.clear()
             self._pending.add(fingerprint)
         self._probes_total.inc()
         if self.cache is not None:
@@ -174,7 +179,7 @@ class AdaptiveController(object):
             if key in self._regression_seen:
                 return
             self._regression_seen.add(key)
-            if len(self._regression_seen) > 4096:
+            if len(self._regression_seen) > TRACKED_LIMIT:
                 self._regression_seen.clear()
         self._regressions_total.inc()
         events.emit("regression", fingerprint=fingerprint,

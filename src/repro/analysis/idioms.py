@@ -143,10 +143,3 @@ class CorpusIdiomSurvey(object):
             "uploads_all_default_names": all_default,
             "uploads": uploads,
         }
-
-
-def count_default_named_uploads(reports):
-    """Convenience over raw ingest reports (used by tests and benches)."""
-    some = sum(1 for report in reports if report.used_default_names)
-    every = sum(1 for report in reports if report.all_names_defaulted)
-    return some, every

@@ -31,12 +31,14 @@ import re
 import threading
 import time
 from collections import OrderedDict
+from wsgiref.simple_server import make_server
 
 from repro.engine.prepared import StatementMemo
 from repro.errors import ClusterError
 from repro.obs import events
 from repro.obs.tracing import Trace, maybe_span, new_trace_id
-from repro.server.rest import SQLShareApp, error_class, error_status
+from repro.server.rest import (
+    SQLShareApp, ThreadingWSGIServer, error_class, error_status)
 
 
 class ClusterApp(SQLShareApp):
@@ -523,12 +525,6 @@ def _merge_cluster_histograms(texts):
 
 
 def serve_cluster(coordinator, host="127.0.0.1", port=8080):
-    """Run the cluster app on wsgiref's threaded simple server."""
-    from socketserver import ThreadingMixIn
-    from wsgiref.simple_server import WSGIServer, make_server
-
-    class ThreadedServer(ThreadingMixIn, WSGIServer):
-        daemon_threads = True
-
+    """The cluster app on :class:`ThreadingWSGIServer`, as ``rest.serve``."""
     return make_server(host, port, ClusterApp(coordinator),
-                       server_class=ThreadedServer)
+                       server_class=ThreadingWSGIServer)

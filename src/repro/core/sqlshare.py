@@ -117,9 +117,6 @@ class SQLShare(object):
     def dataset_names(self):
         return sorted(dataset.name for dataset in self.all_datasets())
 
-    def datasets_by_user(self, owner):
-        return [d for d in self.all_datasets() if d.owner == owner]
-
     def public_datasets(self):
         return [d for d in self.all_datasets() if self.permissions.is_public(d.name)]
 
@@ -543,12 +540,6 @@ class SQLShare(object):
             **extra
         )
         return result
-
-    def explain_query(self, user, sql):
-        """Plan a query (permission-checked) without executing it."""
-        prepared = self._prepare_query(sql)
-        self._check_names_access(user, prepared.names)
-        return self.db.explain(sql, prepared=prepared)
 
     def preview(self, user, name):
         """The dataset's first ``PREVIEW_ROWS`` rows as ``(columns, rows)``.

@@ -7,9 +7,12 @@ surface as ``Clustered Index Scan`` and leading-column predicates as
 ``Clustered Index Seek`` in plans.
 """
 
+import random
 import threading
+from itertools import islice
+from operator import itemgetter
 
-from repro.engine.types import SQLType, TYPE_WIDTH, value_width
+from repro.engine.types import TYPE_WIDTH, column_width
 from repro.errors import CatalogError
 
 
@@ -39,47 +42,47 @@ class Column(object):
 class TableStatistics(object):
     """Cheap per-table statistics driving cardinality estimation.
 
-    Tracks row count, average row width, and per-column distinct-value
-    estimates (exact counts maintained incrementally; adequate at the
-    workload's scale and deterministic for tests).
+    A pure function of a table's rows, derived on first use rather than
+    maintained per insert.  It reads the first ``row_count`` rows of
+    ``rows`` (a consistent prefix: a writer appending meanwhile cannot tear
+    it) and computes each figure the first time the planner asks for it:
+    the average row width, and per column the distinct count and a numeric
+    value sample for range selectivity.  Only counts and samples are kept,
+    never a copy of the rows.  :attr:`Table.stats` keeps one instance while
+    the table's rows are unchanged.
     """
 
-    def __init__(self):
-        self.row_count = 0
-        self.total_width = 0
-        self.distinct = {}  # column name -> set of values (bounded)
-        self._distinct_cap = 10000
-        self._overflow = set()  # columns whose distinct sets overflowed
-        #: Deterministic numeric value samples per column (range selectivity).
-        self.samples = {}
-        self._sample_cap = 400
+    DISTINCT_CAP = 10000
+    SAMPLE_CAP = 400
 
-    def observe_row(self, columns, row):
-        self.row_count += 1
-        for column, value in zip(columns, row):
-            self.total_width += value_width(value, column.sql_type)
-            self._observe_sample(column.name, value)
-            if column.name in self._overflow:
-                continue
-            bucket = self.distinct.setdefault(column.name, set())
-            bucket.add(value)
-            if len(bucket) > self._distinct_cap:
-                self._overflow.add(column.name)
+    def __init__(self, columns, rows):
+        self.columns = tuple(columns)
+        self.rows = rows
+        self.row_count = len(rows)
+        self._total_width = None
+        self._distinct = {}  # column name -> exact distinct count
+        self._samples = {}  # column name -> list of floats
 
-    def _observe_sample(self, column_name, value):
-        if value is None or isinstance(value, bool):
-            return
-        if not isinstance(value, (int, float)):
-            return
-        sample = self.samples.setdefault(column_name, [])
-        if len(sample) < self._sample_cap:
-            sample.append(float(value))
-        else:
-            # Deterministic reservoir: a pseudo-random slot keyed off the
-            # row count, so repeated builds estimate identically.
-            slot = (self.row_count * 2654435761) % self.row_count
-            if slot < self._sample_cap:
-                sample[slot] = float(value)
+    def _values(self, column_name):
+        """The column's values over the prefix (none for an unknown name)."""
+        for index, column in enumerate(self.columns):
+            if column.name == column_name:
+                return map(itemgetter(index), islice(self.rows, self.row_count))
+        return ()
+
+    def sample(self, column_name):
+        """The column's numeric values: all of them up to ``SAMPLE_CAP``, a
+        seeded uniform sample of that size above it (so repeated builds
+        over the same rows estimate identically)."""
+        sample = self._samples.get(column_name)
+        if sample is None:
+            sample = [float(value) for value in self._values(column_name)
+                      if isinstance(value, (int, float))
+                      and not isinstance(value, bool)]
+            if len(sample) > self.SAMPLE_CAP:
+                sample = random.Random(0).sample(sample, self.SAMPLE_CAP)
+            self._samples[column_name] = sample
+        return sample
 
     def range_selectivity(self, column_name, op, literal):
         """Estimated selectivity of ``column <op> literal`` from the sample.
@@ -87,7 +90,7 @@ class TableStatistics(object):
         Returns None when the column has no usable numeric sample (callers
         fall back to the optimizer's magic default).
         """
-        sample = self.samples.get(column_name)
+        sample = self.sample(column_name)
         if not sample:
             return None
         try:
@@ -109,27 +112,25 @@ class TableStatistics(object):
         # Clamp away 0 and 1 so downstream cardinalities never collapse.
         return min(0.999, max(1.0 / (len(sample) * 2.0), hits / float(len(sample))))
 
-    def forget(self):
-        self.row_count = 0
-        self.total_width = 0
-        self.distinct = {}
-        self._overflow = set()
-        self.samples = {}
-
     def distinct_count(self, column_name):
         """Estimated number of distinct values in a column (>= 1)."""
-        if column_name in self._overflow:
+        count = self._distinct.get(column_name)
+        if count is None:
+            count = self._distinct[column_name] = len(set(self._values(column_name)))
+        if count > self.DISTINCT_CAP:
             # Saturated: assume high cardinality proportional to rows.
-            return max(self._distinct_cap, int(self.row_count * 0.9))
-        bucket = self.distinct.get(column_name)
-        if not bucket:
-            return 1
-        return max(1, len(bucket))
+            return max(self.DISTINCT_CAP, int(self.row_count * 0.9))
+        return max(1, count)
 
     def avg_row_width(self, columns):
-        if self.row_count:
-            return max(1.0, self.total_width / float(self.row_count))
-        return float(sum(TYPE_WIDTH[c.sql_type] for c in columns)) or 8.0
+        if not self.row_count:
+            return float(sum(TYPE_WIDTH[c.sql_type] for c in columns)) or 8.0
+        if self._total_width is None:
+            self._total_width = sum(
+                column_width(self._values(column.name), column.sql_type)
+                for column in self.columns
+            )
+        return max(1.0, self._total_width / float(self.row_count))
 
 
 class Table(object):
@@ -140,7 +141,7 @@ class Table(object):
     and expose ``clustered_prefix`` for the planner's seek detection.
     """
 
-    def __init__(self, name, columns):
+    def __init__(self, name, columns, rows=()):
         if not columns:
             raise CatalogError("table %r must have at least one column" % name)
         seen = set()
@@ -153,8 +154,10 @@ class Table(object):
             seen.add(key)
         self.name = name
         self.columns = list(columns)
-        self.rows = []
-        self.stats = TableStatistics()
+        self.rows = [tuple(row) for row in rows]
+        for row in self.rows:
+            self._check_arity(row)
+        self._stats = None
         #: Advisor-chosen clustered-index column (None = default first column).
         #: Soft state: not WAL-logged, so a recovered deployment reverts to
         #: the default ordering until the advisor re-applies it.
@@ -164,6 +167,20 @@ class Table(object):
         self._cluster_keys = None
         self._cluster_lo = 0  # index of first non-NULL key
         self._cluster_sorted = False
+
+    @property
+    def stats(self):
+        """Statistics over the current rows, derived when first asked.
+
+        Valid while ``rows`` is the same list at the same length: an insert
+        changes the length, and ALTER and :meth:`recluster` rebind ``rows``,
+        so no write path needs to invalidate anything.
+        """
+        rows = self.rows
+        memo = self._stats
+        if memo is None or memo.rows is not rows or memo.row_count != len(rows):
+            memo = self._stats = TableStatistics(self.columns, rows)
+        return memo
 
     @property
     def clustered_prefix(self):
@@ -214,17 +231,18 @@ class Table(object):
                 return index
         raise CatalogError("no column %r in table %r" % (name, self.name))
 
-    def insert_row(self, row):
+    def _check_arity(self, row):
         if len(row) != len(self.columns):
             raise CatalogError(
                 "row arity %d does not match table %r arity %d"
                 % (len(row), self.name, len(self.columns))
             )
-        row = tuple(row)
-        self.rows.append(row)
+
+    def insert_row(self, row):
+        self._check_arity(row)
+        self.rows.append(tuple(row))
         if self._cluster_sorted:
             self._invalidate_cluster_order()
-        self.stats.observe_row(self.columns, row)
 
     def alter_column_type(self, column_name, new_type, convert):
         """Retype a column in place, converting stored values with ``convert``.
@@ -239,12 +257,6 @@ class Table(object):
             row[:index] + (convert(row[index]),) + row[index + 1 :] for row in self.rows
         ]
         self._invalidate_cluster_order()
-        self._rebuild_stats()
-
-    def _rebuild_stats(self):
-        self.stats.forget()
-        for row in self.rows:
-            self.stats.observe_row(self.columns, row)
 
 
 class View(object):
@@ -323,12 +335,14 @@ class Catalog(object):
 
     # -- tables ---------------------------------------------------------------
 
-    def create_table(self, name, columns):
+    def create_table(self, name, columns, rows=()):
+        """Create and publish a table holding ``rows`` (built before it is
+        visible, so readers never see it half loaded)."""
         key = name.lower()
+        table = Table(name, columns, rows)
         with self._lock:
             if key in self._tables or key in self._views:
                 raise CatalogError("object %r already exists" % name)
-            table = Table(name, columns)
             self._tables[key] = table
             self.bump_version(name)
             return table

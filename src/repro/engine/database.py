@@ -479,12 +479,7 @@ class Database(object):
 
     def create_table_from_rows(self, name, columns, rows):
         """Bulk-create a table (the ingest path).  ``columns`` are Column."""
-        table = self.catalog.create_table(name, columns)
-        for row in rows:
-            table.insert_row(row)
-        # Second bump: the table was visible (empty) during the load.
-        self.catalog.bump_version(name)
-        return table
+        return self.catalog.create_table(name, columns, rows)
 
     def _insert(self, statement):
         table = self.catalog.get_table(statement.table)
@@ -537,9 +532,6 @@ class Database(object):
 
     def table_names(self):
         return sorted(table.name for table in self.catalog.tables())
-
-    def view_names(self):
-        return sorted(view.name for view in self.catalog.views())
 
     def row_count(self, table_name):
         return self.catalog.get_table(table_name).stats.row_count

@@ -398,10 +398,6 @@ def _iif(condition, when_true, when_false):
     return when_true if condition else when_false
 
 
-def _varchar_type(_):
-    return SQLType.VARCHAR
-
-
 _REGISTRY = {}
 
 
@@ -498,10 +494,6 @@ def lookup(name, arg_count):
             % (name.upper(), func.min_args, func.max_args, arg_count)
         )
     return func
-
-
-def is_scalar_function(name):
-    return name.lower() in _REGISTRY
 
 
 def function_names():

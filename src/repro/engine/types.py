@@ -300,10 +300,13 @@ def infer_literal_type(value):
     raise TypeCheckError("unsupported literal %r" % (value,))
 
 
-def value_width(value, sql_type):
-    """Estimated byte width of a concrete value, for statistics."""
-    if value is None:
-        return 1
-    if sql_type is SQLType.VARCHAR:
-        return max(1, len(str(value)))
-    return TYPE_WIDTH[sql_type]
+def column_width(values, sql_type):
+    """Estimated byte width of a column's values, summed, for statistics:
+    1 per NULL, the text length (at least 1) per VARCHAR value, and the
+    type's width per other value."""
+    values = list(values)
+    nulls = values.count(None)
+    if sql_type is not SQLType.VARCHAR:
+        return nulls + TYPE_WIDTH[sql_type] * (len(values) - nulls)
+    texts = [str(value) for value in values if value is not None]
+    return nulls + sum(map(len, texts)) + texts.count("")

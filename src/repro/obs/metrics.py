@@ -464,10 +464,6 @@ class MetricsRegistry(object):
         with self._lock:
             return self._instruments.get(name)
 
-    def unregister(self, name):
-        with self._lock:
-            self._instruments.pop(name, None)
-
     def names(self):
         with self._lock:
             return list(self._instruments)

@@ -21,10 +21,6 @@ def _fmt_seconds(value):
     return "%.1fms" % (value * 1000.0)
 
 
-def _fmt_rate(value):
-    return "-" if value is None else "%.2f/s" % value
-
-
 def render_dashboard(stats, health=None, alerts=None, querystore=None,
                      now=None):
     """One screenful of operational state from the REST payloads."""

@@ -40,16 +40,9 @@ class CancellationToken(object):
         """Start the statement timeout clock: ``seconds`` from now."""
         self._deadline = time.monotonic() + seconds
 
-    def clear_deadline(self):
-        self._deadline = None
-
     @property
     def cancelled(self):
         return self._event.is_set()
-
-    @property
-    def expired(self):
-        return self._deadline is not None and time.monotonic() > self._deadline
 
     def raise_if_cancelled(self):
         """Raise QueryCancelled/QueryTimeout if cancel or timeout is due."""

@@ -537,15 +537,6 @@ class QueryRuntime(object):
 
     # -- waiting / shutdown ---------------------------------------------------
 
-    def drain(self, jobs=None, timeout=None):
-        """Block until the given jobs (default: all known) are terminal."""
-        if jobs is None:
-            with self._cond:
-                jobs = list(self._jobs.values())
-        for job in jobs:
-            job.wait(timeout)
-        return jobs
-
     def shutdown(self):
         if self.monitor is not None:
             self.monitor.stop()

@@ -31,7 +31,9 @@ subclasses :class:`SQLShareApp` and replaces handlers, not the shell.
 import json
 import re
 import time
+from socketserver import ThreadingMixIn
 from urllib.parse import parse_qsl as _parse_qsl
+from wsgiref.simple_server import WSGIServer, make_server
 
 from repro.core.sqlshare import SQLShare
 from repro.errors import (
@@ -621,14 +623,18 @@ def _truthy(value):
     return str(value).strip().lower() in ("1", "true", "yes", "on")
 
 
-def serve(platform=None, host="127.0.0.1", port=8080, runtime_config=None):
-    """Run the app on wsgiref's simple server (for the examples/demo)."""
-    from wsgiref.simple_server import make_server
+class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
+    """wsgiref's server with one thread per connection, so a client that
+    stalls mid-request holds only its own thread."""
 
+    daemon_threads = True
+
+
+def serve(platform=None, host="127.0.0.1", port=8080, runtime_config=None):
+    """The app on wsgiref's threaded server; call ``serve_forever`` on it."""
     app = SQLShareApp(platform, runtime_config=runtime_config)
     # A long-lived service should flag statically suspect plans (log +
     # check_plan_violations_total) but keep serving; strict fail-closed is
     # for tests and CI, where the default stands.
     app.platform.db.plan_check_mode = "warn"
-    server = make_server(host, port, app)
-    return server
+    return make_server(host, port, app, server_class=ThreadingWSGIServer)

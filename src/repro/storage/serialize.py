@@ -234,10 +234,9 @@ def restore_platform_state(platform, state):
 
     catalog = platform.db.catalog
     for spec in state["engine"]["tables"]:
-        table = Table(spec["name"], _decode_columns(spec["columns"]))
-        for row in spec["rows"]:
-            table.insert_row(decode_row(row))
-        catalog.adopt_table(table)
+        catalog.adopt_table(Table(
+            spec["name"], _decode_columns(spec["columns"]),
+            map(decode_row, spec["rows"])))
     for spec in state["engine"]["views"]:
         # Re-parse the stored SQL; a view over since-deleted objects still
         # parses (binding is deferred to planning), and one that does not

@@ -26,7 +26,7 @@ USERS_NAME = "users.json"
 
 
 class _Anonymizer(object):
-    """Stable pseudonyms; remembers whether an identity was academic."""
+    """Stable pseudonyms for user names."""
 
     def __init__(self):
         self._mapping = {}
@@ -35,9 +35,6 @@ class _Anonymizer(object):
         if name not in self._mapping:
             self._mapping[name] = "user_%04d" % (len(self._mapping) + 1)
         return self._mapping[name]
-
-    def is_academic(self, name):
-        return ".edu" in name
 
 
 def export_corpus(platform, directory, anonymize=True, include_plans=True):

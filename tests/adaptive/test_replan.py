@@ -67,6 +67,14 @@ class TestControllerUnit:
         assert controller.wants_probe(fingerprint) is True
         assert controller.summary()["pending_probes"] == 1
 
+    def test_pending_probes_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(replan, "TRACKED_LIMIT", 8)
+        controller = AdaptiveController(CardinalityFeedbackStore())
+        for index in range(20):
+            assert controller.request_probe("fp%d" % index, "key%d" % index)
+            assert controller.wants_probe("fp%d" % index)
+        assert controller.summary()["pending_probes"] <= 8
+
     def test_after_job_swallows_garbage(self):
         controller = AdaptiveController(CardinalityFeedbackStore())
         controller.after_job(object())  # no prepared/result; must not raise

@@ -1,12 +1,16 @@
 """REST monitoring surfaces: /timeseries, /querystore, /alerts, /health."""
 
+import socket
+import threading
+import urllib.request
+
 import pytest
 
 from repro.core.sqlshare import SQLShare
 from repro.obs.alerts import AlertManager, AlertRule
 from repro.runtime import RuntimeConfig
 from repro.server.client import ClientError, SQLShareClient, _WSGITransport
-from repro.server.rest import SQLShareApp
+from repro.server.rest import SQLShareApp, serve
 
 CSV = "site,temp\nA,10.5\nB,11.0\nC,12.5\n"
 
@@ -134,3 +138,24 @@ class TestHealthEndpoint:
         assert payload["firing"] == ["AnySubmission"]
         # The client treats 503 as a valid, returned health state.
         assert alice.health()["status"] == "degraded"
+
+
+class TestServedHealth:
+    def test_stalled_client_does_not_block_health(self):
+        server = serve(SQLShare(), port=0, runtime_config=RuntimeConfig(
+            max_workers=1, monitor_enabled=False))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address
+        stalled = socket.create_connection((host, port))
+        try:
+            # Half a request: the server is left waiting for the headers.
+            stalled.sendall(b"GET /api/v1/health HTTP/1.1\r\nHost: x\r\n")
+            url = "http://%s:%d/api/v1/health" % (host, port)
+            with urllib.request.urlopen(url, timeout=5) as response:
+                assert response.status == 200
+        finally:
+            stalled.close()
+            server.shutdown()
+            server.server_close()
+            server.get_app().runtime.shutdown()
